@@ -15,17 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import rng
-from .core import (
-    COUNTING,
-    LEBESGUE,
-    Dirac,
-    LogWeight,
-    MeasureExpr,
-    NEG_INF,
-    Weighted,
-    ZERO,
-    _is_scalar,
-)
+from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _is_scalar
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -55,6 +45,7 @@ class Normal(MeasureExpr):
 
     mu: float = 0.0
     sigma: float = 1.0
+    static_base = True
 
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
@@ -62,9 +53,9 @@ class Normal(MeasureExpr):
         if not self.sigma > 0.0:
             raise ValueError(f"Normal requires sigma > 0, got {self.sigma}")
 
-    def log_density_at(self, x) -> LogWeight:
+    def log_density_at(self, x) -> float:
         z = (x - self.mu) / self.sigma
-        return LogWeight(-0.5 * z * z)
+        return -0.5 * z * z
 
     def base_at(self, x) -> MeasureExpr:
         return Weighted(-math.log(self.sigma) - _HALF_LOG_TWO_PI, LEBESGUE)
@@ -81,8 +72,10 @@ class Normal(MeasureExpr):
 class Uniform01(MeasureExpr):
     """Restriction of Lebesgue measure to [0, 1]."""
 
-    def log_density_at(self, x) -> LogWeight:
-        return ZERO if 0.0 <= x <= 1.0 else NEG_INF
+    static_base = True
+
+    def log_density_at(self, x) -> float:
+        return 0.0 if 0.0 <= x <= 1.0 else -math.inf
 
     def base_at(self, x) -> MeasureExpr:
         return LEBESGUE
@@ -99,14 +92,15 @@ class Exponential(MeasureExpr):
     """Exponential with rate parameter; density rate * exp(-rate x) on x >= 0."""
 
     rate: float = 1.0
+    static_base = True
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
         if not self.rate > 0.0:
             raise ValueError(f"Exponential requires rate > 0, got {self.rate}")
 
-    def log_density_at(self, x) -> LogWeight:
-        return LogWeight(-self.rate * x) if x >= 0.0 else NEG_INF
+    def log_density_at(self, x) -> float:
+        return -self.rate * x if x >= 0.0 else -math.inf
 
     def base_at(self, x) -> MeasureExpr:
         return Weighted(math.log(self.rate), LEBESGUE)
@@ -123,18 +117,19 @@ class Bernoulli(MeasureExpr):
     """Coin flip on {0, 1} over counting measure."""
 
     p: float = 0.5
+    static_base = True
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"Bernoulli requires 0 <= p <= 1, got {self.p}")
 
-    def log_density_at(self, x) -> LogWeight:
+    def log_density_at(self, x) -> float:
         if x == 1:
-            return LogWeight(math.log(self.p)) if self.p > 0.0 else NEG_INF
+            return math.log(self.p) if self.p > 0.0 else -math.inf
         if x == 0:
-            return LogWeight(math.log1p(-self.p)) if self.p < 1.0 else NEG_INF
-        return NEG_INF
+            return math.log1p(-self.p) if self.p < 1.0 else -math.inf
+        return -math.inf
 
     def base_at(self, x) -> MeasureExpr:
         return COUNTING
@@ -151,17 +146,18 @@ class Poisson(MeasureExpr):
     """Poisson counts with the given rate, over counting measure."""
 
     rate: float = 1.0
+    static_base = True
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
         if not self.rate > 0.0:
             raise ValueError(f"Poisson requires rate > 0, got {self.rate}")
 
-    def log_density_at(self, x) -> LogWeight:
+    def log_density_at(self, x) -> float:
         if not _is_count(x):
-            return NEG_INF
+            return -math.inf
         k = float(x)
-        return LogWeight(k * math.log(self.rate) - self.rate - math.lgamma(k + 1.0))
+        return k * math.log(self.rate) - self.rate - math.lgamma(k + 1.0)
 
     def base_at(self, x) -> MeasureExpr:
         return COUNTING
@@ -188,6 +184,7 @@ class NegativeBinomial(MeasureExpr):
     """
 
     params: tuple
+    static_base = True
 
     def __post_init__(self):
         names = tuple(name for name, _ in self.params)
@@ -221,20 +218,18 @@ class NegativeBinomial(MeasureExpr):
                 return value
         raise KeyError(name)
 
-    def log_density_at(self, x) -> LogWeight:
+    def log_density_at(self, x) -> float:
         if not _is_count(x):
-            return NEG_INF
+            return -math.inf
         y = float(x)
         names = tuple(name for name, _ in self.params)
         if names == ("p", "r"):
             r = self._param("r")
             p = self._param("p")
-            return LogWeight(
-                log_binomial(y + r - 1.0, r - 1.0) + r * math.log(p) + y * math.log1p(-p)
-            )
+            return log_binomial(y + r - 1.0, r - 1.0) + r * math.log(p) + y * math.log1p(-p)
         alpha = self._param("alpha")
         beta = self._param("beta")
-        return LogWeight(
+        return (
             log_binomial(y + alpha - 1.0, alpha - 1.0)
             + alpha * (math.log(beta) - math.log1p(beta))
             - y * math.log1p(beta)

@@ -11,8 +11,9 @@ single-key object naming its kind, e.g.::
                         "maps": {"mu": "identity", "sigma": "const:1"}}}}
 
 Subcommands: ``logdensity``, ``sample``, ``check``.  Exit codes: 0 success,
-1 usage/parse/shape errors, 2 measure-theoretic failures (unrelated
-primitive measures, undefined density).
+1 usage/parse/shape errors and expressions nested too deeply to evaluate,
+2 measure-theoretic failures (unrelated primitive measures, undefined
+density).
 """
 
 from __future__ import annotations
@@ -440,9 +441,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv):
+    """Write ``--opt -1e-05`` as ``--opt=-1e-05``.
+
+    argparse reads a separate argument that starts with '-' as an option
+    unless it looks like a plain decimal, so a negative number in exponent
+    notation (Python's repr of any float in (-1e-4, 0)) would be refused.
+    """
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
@@ -452,6 +476,9 @@ def main(argv=None) -> int:
         return 2
     except (MeasureError, ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: expression nested too deeply to evaluate", file=sys.stderr)
         return 1
 
 

@@ -17,14 +17,12 @@ from .core import (
     Dirac,
     LogWeight,
     MeasureExpr,
-    NEG_INF,
     NotProbabilityError,
     ShapeError,
-    UNDEFINED,
     UnrelatedPrimitivesError,
     Weighted,
-    ZERO,
-    logaddexp,
+    _log_density,
+    _logaddexp,
 )
 
 _LOG_TWO = math.log(2.0)
@@ -45,6 +43,10 @@ class Product(MeasureExpr):
         if len(self.children) < 2:
             raise ValueError("Product needs at least two factors")
 
+    @property
+    def static_base(self) -> bool:
+        return all(child.static_base for child in self.children)
+
     def check_point(self, x) -> None:
         if not isinstance(x, tuple) or len(x) != len(self.children):
             raise ShapeError(
@@ -54,16 +56,16 @@ class Product(MeasureExpr):
         for child, xi in zip(self.children, x):
             child.check_point(xi)
 
-    def log_density_at(self, x) -> LogWeight:
-        total = ZERO
+    def log_density_at(self, x) -> float:
+        total = 0.0
         for child, xi in zip(self.children, x):
-            total = total + child.log_density_at(xi)
+            total += child.log_density_at(xi)
         return total
 
     def base_at(self, x) -> MeasureExpr:
         return Product(tuple(c.base_at(xi) for c, xi in zip(self.children, x)))
 
-    def rule_vs(self, other, x) -> Optional[LogWeight]:
+    def rule_vs(self, other, x) -> Optional[float]:
         # d(mu1 x mu2)/d(nu1 x nu2) factors coordinatewise.
         if isinstance(other, Product) and len(other.children) == len(self.children):
             targets = other.children
@@ -71,16 +73,16 @@ class Product(MeasureExpr):
             targets = (other.child,) * len(self.children)
         else:
             return None
-        total = ZERO
+        total = 0.0
         for child, target, xi in zip(self.children, targets, x):
-            total = total + core.log_density(child, xi, wrt=target)
+            total += _log_density(child, xi, target)
         return total
 
-    def rule_as_target(self, other, x) -> Optional[LogWeight]:
+    def rule_as_target(self, other, x) -> Optional[float]:
         if isinstance(other, Power) and other.shape == (len(self.children),):
-            total = ZERO
+            total = 0.0
             for child, xi in zip(self.children, x):
-                total = total + core.log_density(other.child, xi, wrt=child)
+                total += _log_density(other.child, xi, child)
             return total
         return None
 
@@ -118,6 +120,42 @@ def product(mu: MeasureExpr, nu: MeasureExpr) -> Product:
     return Product((mu, nu))
 
 
+def product_base(bases: Sequence[MeasureExpr], shape: Tuple[int, ...]) -> MeasureExpr:
+    """Base measure of an independent product over ``shape``.
+
+    ``bases`` holds the base of each coordinate in row-major order, or one
+    base shared by every coordinate.  When the bases, stripped of their
+    constant ``Weighted`` terms, all equal one measure B, the result is
+    Weighted(sum of the terms, Power(B, shape)): the normalization is one
+    term however many coordinates there are.  Otherwise the bases are nested
+    into Products that follow the shape.
+    """
+    weighted = False
+    logweight = 0.0
+    inner = []
+    for b in bases:
+        if isinstance(b, Weighted):
+            weighted = True
+            logweight += b.logweight
+            b = b.base
+        inner.append(b)
+    first = inner[0]
+    for b in inner:
+        if b is not first and b != first:
+            return _nested_product(iter(bases), shape)
+    if len(bases) == 1:
+        logweight *= _shape_size(shape)
+    return Weighted(logweight, Power(first, shape)) if weighted else Power(first, shape)
+
+
+def _nested_product(bases, shape) -> MeasureExpr:
+    if len(shape) == 1:
+        parts = tuple(next(bases) for _ in range(shape[0]))
+    else:
+        parts = tuple(_nested_product(bases, shape[1:]) for _ in range(shape[0]))
+    return Product(parts) if len(parts) > 1 else Power(parts[0], (1,))
+
+
 # ---------------------------------------------------------------------------
 # Power measures
 # ---------------------------------------------------------------------------
@@ -130,21 +168,20 @@ def _shape_size(shape: Tuple[int, ...]) -> int:
     return n
 
 
-def _iter_shape(x, shape):
-    """Yield the scalar-level entries of a nested tuple of the given shape."""
+def _flat(x, shape):
+    """The scalar-level entries of a nested tuple of the given shape."""
     if len(shape) == 1:
-        yield from x
-    else:
-        for row in x:
-            yield from _iter_shape(row, shape[1:])
+        return x
+    return [xi for row in x for xi in _flat(row, shape[1:])]
 
 
 def _check_shape(x, shape, child: MeasureExpr):
     if not isinstance(x, tuple) or len(x) != shape[0]:
         raise ShapeError(f"expected a tuple of length {shape[0]}, got {x!r}")
     if len(shape) == 1:
+        check = child.check_point
         for xi in x:
-            child.check_point(xi)
+            check(xi)
     else:
         for row in x:
             _check_shape(row, shape[1:], child)
@@ -163,7 +200,8 @@ class Power(MeasureExpr):
     The base measure factors any constant weight once: the base of
     Normal^n is Weighted(n * w, Lebesgue^n) rather than a product of n
     weighted factors, so the normalization term is evaluated a single time
-    regardless of n.
+    regardless of n.  A child whose base ignores the point has its base
+    computed once; otherwise each coordinate's base is taken at its entry.
     """
 
     child: MeasureExpr
@@ -175,22 +213,28 @@ class Power(MeasureExpr):
         if any(not isinstance(s, int) or s < 1 for s in self.shape):
             raise ValueError(f"invalid power shape {self.shape!r}")
 
+    @property
+    def static_base(self) -> bool:
+        return self.child.static_base
+
     def check_point(self, x) -> None:
         _check_shape(x, self.shape, self.child)
 
-    def log_density_at(self, x) -> LogWeight:
-        total = ZERO
-        for xi in _iter_shape(x, self.shape):
-            total = total + self.child.log_density_at(xi)
+    def log_density_at(self, x) -> float:
+        data = self.child.log_density_at
+        total = 0.0
+        for xi in _flat(x, self.shape):
+            total += data(xi)
         return total
 
     def base_at(self, x) -> MeasureExpr:
-        first = next(_iter_shape(x, self.shape))
-        child_base = self.child.base_at(first)
-        if isinstance(child_base, Weighted):
-            n = _shape_size(self.shape)
-            return Weighted(n * child_base.logweight, Power(child_base.base, self.shape))
-        return Power(child_base, self.shape)
+        base = self.child.base_at
+        if self.child.static_base:
+            first = x
+            for _ in self.shape:
+                first = first[0]
+            return product_base((base(first),), self.shape)
+        return product_base([base(xi) for xi in _flat(x, self.shape)], self.shape)
 
     def reference_class(self):
         ref = self.child.reference_class()
@@ -198,7 +242,7 @@ class Power(MeasureExpr):
             return None
         return (ref[0], _shape_size(self.shape) * ref[1])
 
-    def fixed_pair_rule(self, other, x) -> Optional[LogWeight]:
+    def fixed_pair_rule(self, other, x) -> Optional[float]:
         # Coordinatewise split once both chains are stuck (powers of atoms
         # against structured references the scalar classification misses).
         if isinstance(other, Power) and other.shape == self.shape:
@@ -207,9 +251,9 @@ class Power(MeasureExpr):
             targets = iter(other.children)
         else:
             return None
-        total = ZERO
-        for target, xi in zip(targets, _iter_shape(x, self.shape)):
-            total = total + core.log_density(self.child, xi, wrt=target)
+        total = 0.0
+        for target, xi in zip(targets, _flat(x, self.shape)):
+            total += _log_density(self.child, xi, target)
         return total
 
     def log_total_mass(self):
@@ -235,8 +279,47 @@ def power(mu: MeasureExpr, shape: Sequence[int]) -> Power:
 # ---------------------------------------------------------------------------
 
 
+class LocalProduct(MeasureExpr):
+    """A measure that at each point is a product of one measure per coordinate.
+
+    Subclasses build those measures from the point in `_factors`, checking
+    each coordinate against its measure as it is built.  Every evaluation
+    therefore validates the point (``self_checking``) and builds each
+    coordinate's measure once; the base goes through `product_base`.
+    """
+
+    self_checking = True
+
+    def _factors(self, x) -> list:
+        raise NotImplementedError
+
+    @staticmethod
+    def _data(factors, x) -> float:
+        total = 0.0
+        for m, xi in zip(factors, x):
+            total += m.log_density_at(xi)
+        return total
+
+    @staticmethod
+    def _base(factors, x) -> MeasureExpr:
+        return product_base([m.base_at(xi) for m, xi in zip(factors, x)], (len(factors),))
+
+    def check_point(self, x) -> None:
+        self._factors(x)
+
+    def log_density_at(self, x) -> float:
+        return self._data(self._factors(x), x)
+
+    def base_at(self, x) -> MeasureExpr:
+        return self._base(self._factors(x), x)
+
+    def unfold(self, x):
+        factors = self._factors(x)
+        return self._data(factors, x), self._base(factors, x)
+
+
 @dataclass(frozen=True)
-class ForProduct(MeasureExpr):
+class ForProduct(LocalProduct):
     """Product of kernel outputs over a finite index sequence."""
 
     indices: Tuple[Any, ...]
@@ -246,28 +329,18 @@ class ForProduct(MeasureExpr):
         if not self.indices:
             raise ValueError("ForProduct needs at least one index")
 
-    def check_point(self, x) -> None:
+    def _factors(self, x):
         if not isinstance(x, tuple) or len(x) != len(self.indices):
             raise ShapeError(
                 f"ForProduct over {len(self.indices)} indices expects a "
                 f"{len(self.indices)}-tuple, got {x!r}"
             )
+        factors = []
         for i, xi in zip(self.indices, x):
-            self.kernel(i).check_point(xi)
-
-    def log_density_at(self, x) -> LogWeight:
-        total = ZERO
-        for i, xi in zip(self.indices, x):
-            total = total + self.kernel(i).log_density_at(xi)
-        return total
-
-    def base_at(self, x) -> MeasureExpr:
-        bases = tuple(
-            self.kernel(i).base_at(xi) for i, xi in zip(self.indices, x)
-        )
-        if all(b == bases[0] for b in bases[1:]):
-            return Power(bases[0], (len(bases),))
-        return Product(bases)
+            m = self.kernel(i)
+            m.check_point(xi)
+            factors.append(m)
+        return factors
 
     def log_total_mass(self):
         total = 0.0
@@ -295,25 +368,38 @@ class Bind(MeasureExpr):
     """Monadic bind: pair measure (x, y) with y drawn from kernel(x).
 
     The base measure at (x, y) is base(source, x) x base(kernel(x), y),
-    assembled lazily at the evaluation point.
+    assembled lazily at the evaluation point.  Each evaluation applies the
+    kernel once and checks y against its output (``self_checking``).
     """
 
     source: MeasureExpr
     kernel: Callable[[Any], MeasureExpr]
+    self_checking = True
 
-    def check_point(self, x) -> None:
+    def _inner(self, x) -> MeasureExpr:
+        """kernel(x[0]), with the pair checked against source and kernel output."""
         if not isinstance(x, tuple) or len(x) != 2:
             raise ShapeError(f"Bind expects a pair point, got {x!r}")
         self.source.check_point(x[0])
-        self.kernel(x[0]).check_point(x[1])
+        inner = self.kernel(x[0])
+        inner.check_point(x[1])
+        return inner
 
-    def log_density_at(self, x) -> LogWeight:
-        first, second = x
-        return self.source.log_density_at(first) + self.kernel(first).log_density_at(second)
+    def check_point(self, x) -> None:
+        self._inner(x)
+
+    def log_density_at(self, x) -> float:
+        inner = self._inner(x)
+        return self.source.log_density_at(x[0]) + inner.log_density_at(x[1])
 
     def base_at(self, x) -> MeasureExpr:
-        first, second = x
-        return Product((self.source.base_at(first), self.kernel(first).base_at(second)))
+        inner = self._inner(x)
+        return Product((self.source.base_at(x[0]), inner.base_at(x[1])))
+
+    def unfold(self, x):
+        inner = self._inner(x)
+        data = self.source.log_density_at(x[0]) + inner.log_density_at(x[1])
+        return data, Product((self.source.base_at(x[0]), inner.base_at(x[1])))
 
     def log_total_mass(self):
         # Assumes the kernel is Markov (unit-mass outputs); checked per draw.
@@ -350,47 +436,51 @@ class Superposition(MeasureExpr):
     left: MeasureExpr
     right: MeasureExpr
 
+    @property
+    def static_base(self) -> bool:
+        return self.left.static_base and self.right.static_base
+
     def check_point(self, x) -> None:
         self.left.check_point(x)
         self.right.check_point(x)
 
-    def log_density_at(self, x) -> LogWeight:
+    def log_density_at(self, x) -> float:
         alpha = self.left.base_at(x)
         beta = self.right.base_at(x)
         f = self.left.log_density_at(x)
         g = self.right.log_density_at(x)
         if alpha == beta:
-            return logaddexp(f, g) + LogWeight(-_LOG_TWO)
-        ratio = core.log_density(alpha, x, wrt=beta)  # computed once, reused
-        if ratio.is_undefined:
-            return UNDEFINED
-        return logaddexp(f - logaddexp(ZERO, -ratio), g - logaddexp(ZERO, ratio))
+            return _logaddexp(f, g) - _LOG_TWO
+        ratio = _log_density(alpha, x, beta)  # computed once, reused
+        if ratio != ratio:
+            return math.nan
+        return _logaddexp(f - _logaddexp(0.0, -ratio), g - _logaddexp(0.0, ratio))
 
     def base_at(self, x) -> MeasureExpr:
         return Superposition(self.left.base_at(x), self.right.base_at(x))
 
-    def _componentwise(self, other, x) -> LogWeight:
+    def _componentwise(self, other, x) -> float:
         parts = []
         for component in (self.left, self.right):
             try:
-                parts.append(core.log_density(component, x, wrt=other))
+                parts.append(_log_density(component, x, other))
             except UnrelatedPrimitivesError:
                 parts.append(None)
         if all(p is None for p in parts):
             raise UnrelatedPrimitivesError(
                 f"no component of {self!r} is locally expressible against {other!r}"
             )
-        total = NEG_INF
+        total = -math.inf
         for p in parts:
-            total = logaddexp(total, NEG_INF if p is None else p)
+            total = _logaddexp(total, -math.inf if p is None else p)
         return total
 
-    def rule_vs(self, other, x) -> Optional[LogWeight]:
+    def rule_vs(self, other, x) -> Optional[float]:
         if other == self.base_at(x):
             return self.log_density_at(x)
         return self._componentwise(other, x)
 
-    def rule_as_target(self, other, x) -> Optional[LogWeight]:
+    def rule_as_target(self, other, x) -> Optional[float]:
         if isinstance(other, Superposition):
             return None  # let the source-side rule handle it
         return -self._componentwise(other, x)
@@ -401,21 +491,21 @@ class Superposition(MeasureExpr):
         if left is None or right is None or left[0] != right[0]:
             return None
         # exp(w1) ref + exp(w2) ref is still a rescaling of the same reference.
-        return (left[0], logaddexp(left[1], right[1]).value)
+        return (left[0], _logaddexp(left[1], right[1]))
 
     def log_total_mass(self):
         lm_left = self.left.log_total_mass()
         lm_right = self.right.log_total_mass()
         if lm_left is None or lm_right is None:
             return None
-        return logaddexp(LogWeight(lm_left), LogWeight(lm_right)).value
+        return _logaddexp(lm_left, lm_right)
 
     def _sample_normalized(self, seed: int):
         lm_left = self.left.log_total_mass()
         lm_right = self.right.log_total_mass()
         if lm_left is None or lm_right is None:
             raise NotProbabilityError("superposition component has unknown mass")
-        total = logaddexp(LogWeight(lm_left), LogWeight(lm_right)).value
+        total = _logaddexp(lm_left, lm_right)
         p_left = math.exp(lm_left - total)
         u = rng.RandomStream(rng.derive_key(seed, 0)).unit()
         chosen = self.left if u < p_left else self.right
@@ -433,14 +523,14 @@ def scale(logw, mu: MeasureExpr) -> MeasureExpr:
     scale(0, mu) is mu itself and nested scalings collapse additively, so
     scale(a, scale(b, mu)) == scale(a + b, mu) structurally.
     """
-    w = core.as_log_weight(logw)
-    if w.is_undefined or w.is_pos_inf:
+    w = core._to_float(logw)
+    if w != w or w == math.inf:
         raise ValueError(f"invalid scaling weight {logw!r}")
-    if w.value == 0.0:
+    if w == 0.0:
         return mu
     if isinstance(mu, Weighted):
-        return Weighted(w.value + mu.logweight, mu.base)
-    return Weighted(w.value, mu)
+        return Weighted(w + mu.logweight, mu.base)
+    return Weighted(w, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +555,7 @@ class Likelihood:
 
 def loglik(lik: Likelihood, p) -> LogWeight:
     """Log-likelihood of the stored data under kernel(p)."""
-    return core.log_density(lik.kernel(p), lik.x)
+    return LogWeight(_log_density(lik.kernel(p), lik.x))
 
 
 @dataclass(frozen=True)
@@ -475,11 +565,16 @@ class PointwiseProduct(MeasureExpr):
     prior: MeasureExpr
     likelihood: Likelihood
 
+    @property
+    def static_base(self) -> bool:
+        return self.prior.static_base
+
     def check_point(self, x) -> None:
         self.prior.check_point(x)
 
-    def log_density_at(self, x) -> LogWeight:
-        return self.prior.log_density_at(x) + loglik(self.likelihood, x)
+    def log_density_at(self, x) -> float:
+        lik = self.likelihood
+        return self.prior.log_density_at(x) + _log_density(lik.kernel(x), lik.x)
 
     def base_at(self, x) -> MeasureExpr:
         return self.prior.base_at(x)
@@ -529,12 +624,13 @@ class IntegralMeasure(MeasureExpr):
 
     log_fn: Callable[[Any], float]
     reference: MeasureExpr
+    static_base = True
 
     def check_point(self, x) -> None:
         self.reference.check_point(x)
 
-    def log_density_at(self, x) -> LogWeight:
-        return core.as_log_weight(self.log_fn(x))
+    def log_density_at(self, x) -> float:
+        return core._to_float(self.log_fn(x))
 
     def base_at(self, x) -> MeasureExpr:
         return self.reference
@@ -558,12 +654,7 @@ def integrate(f: Callable[[Any], float], nu: MeasureExpr) -> IntegralMeasure:
 
 def integrate_exp(log_f: Callable[[Any], float], nu: MeasureExpr) -> IntegralMeasure:
     """Measure with log-density log_f against nu."""
-
-    def log_fn(x):
-        v = log_f(x)
-        return v.value if isinstance(v, LogWeight) else float(v)
-
-    return IntegralMeasure(log_fn, nu)
+    return IntegralMeasure(log_f, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +802,10 @@ class Pushforward(MeasureExpr):
     map: AffineMap
     inner: MeasureExpr
 
+    @property
+    def static_base(self) -> bool:
+        return self.inner.static_base
+
     def check_point(self, x) -> None:
         try:
             z = self.map.to_source(x)
@@ -718,7 +813,7 @@ class Pushforward(MeasureExpr):
             raise ShapeError(f"point {x!r} does not match the affine map") from None
         self.inner.check_point(z)
 
-    def log_density_at(self, x) -> LogWeight:
+    def log_density_at(self, x) -> float:
         return self.inner.log_density_at(self.map.to_source(x))
 
     def base_at(self, x) -> MeasureExpr:

@@ -8,9 +8,12 @@ base-measure chains until the nodes coincide structurally, a direct rule
 applies, or two chain fixed points are reached.  Primitive measures (Lebesgue,
 counting, Dirac) are their own base measures and terminate every chain.
 
-Non-domination is reported through `LogWeight` special values: -inf when the
-left measure vanishes locally but the right does not, +inf in the reverse
-case, and a tagged Undefined value when neither measure locally dominates.
+Inside the engine every log-density is a plain float: -inf when the left
+measure vanishes locally but the right does not, +inf in the reverse case,
+and NaN when neither measure locally dominates.  IEEE arithmetic already
+follows the extended rules (inf + -inf is NaN, NaN absorbs everything).  The
+public `log_density` wraps the float once in a `LogWeight`, whose Undefined
+state is the tagged form of NaN.
 """
 
 from __future__ import annotations
@@ -143,9 +146,30 @@ UNDEFINED = LogWeight(0.0, defined=False)
 def as_log_weight(v) -> LogWeight:
     if isinstance(v, LogWeight):
         return v
+    return LogWeight(_to_float(v))
+
+
+def _to_float(v) -> float:
+    """Engine form of a log weight or real: a float, NaN for undefined."""
+    if isinstance(v, LogWeight):
+        return v.value if v.defined else math.nan
     if isinstance(v, numbers.Real):
-        return LogWeight(float(v))
+        return float(v)
     raise TypeError(f"cannot interpret {v!r} as a log weight")
+
+
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b) on engine floats; see `logaddexp`."""
+    if a != a or b != b:
+        return math.nan
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    if a == math.inf or b == math.inf:
+        return math.inf
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def logaddexp(a, b) -> LogWeight:
@@ -154,19 +178,7 @@ def logaddexp(a, b) -> LogWeight:
     Finite whenever either argument is finite; -inf acts as the identity;
     undefined propagates.
     """
-    a = as_log_weight(a)
-    b = as_log_weight(b)
-    if a.is_undefined or b.is_undefined:
-        return UNDEFINED
-    if a.value == -math.inf:
-        return b
-    if b.value == -math.inf:
-        return a
-    if a.value == math.inf or b.value == math.inf:
-        return POS_INF
-    hi = a.value if a.value >= b.value else b.value
-    lo = b.value if a.value >= b.value else a.value
-    return LogWeight(hi + math.log1p(math.exp(lo - hi)))
+    return LogWeight(_logaddexp(_to_float(a), _to_float(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +210,9 @@ def _count_weight_evaluation() -> None:
 
 
 def _is_scalar(x) -> bool:
+    t = type(x)
+    if t is float or t is int:
+        return True
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
@@ -207,14 +222,27 @@ class MeasureExpr:
     Subclasses are frozen dataclasses; structural equality is the generated
     field equality.  All evaluation methods are pure, so values are safely
     shareable across threads.
+
+    Log-densities returned by nodes are floats: -inf and +inf for
+    non-domination, NaN for undefined.  Evaluation methods may assume a point
+    that passed `check_point`, except on nodes that set ``self_checking``.
     """
+
+    #: True when `base_at` ignores the point, so one base serves every point.
+    static_base = False
+
+    #: True when the evaluation methods (`log_density_at`, `base_at`,
+    #: `unfold`) validate the point themselves, as nodes that build one
+    #: measure per element of the point do; the engine then skips the
+    #: separate `check_point` pass, so each element's measure is built once.
+    self_checking = False
 
     def check_point(self, x) -> None:
         """Raise ShapeError when x is not in this measure's sample space."""
-        if not _is_scalar(x):
+        if type(x) is not float and not _is_scalar(x):
             raise ShapeError(f"{type(self).__name__} expects a scalar point, got {x!r}")
 
-    def log_density_at(self, x) -> LogWeight:
+    def log_density_at(self, x) -> float:
         """Log-density against this measure's own base measure at x."""
         raise NotImplementedError
 
@@ -222,13 +250,24 @@ class MeasureExpr:
         """Base measure near x.  Primitives return themselves."""
         raise NotImplementedError
 
+    def unfold(self, x) -> Optional[Tuple[float, "MeasureExpr"]]:
+        """One step down the base chain: (log_density_at(x), base_at(x)).
+
+        None when this node is its own base (a chain fixed point), in which
+        case no data term is computed.
+        """
+        base = self.base_at(x)
+        if base is self or base == self:
+            return None
+        return self.log_density_at(x), base
+
     # Optional hooks for the recursion engine ------------------------------
 
-    def rule_vs(self, other: "MeasureExpr", x) -> Optional[LogWeight]:
+    def rule_vs(self, other: "MeasureExpr", x) -> Optional[float]:
         """Direct rule for d(self)/d(other) at x, or None."""
         return None
 
-    def rule_as_target(self, other: "MeasureExpr", x) -> Optional[LogWeight]:
+    def rule_as_target(self, other: "MeasureExpr", x) -> Optional[float]:
         """Direct rule for d(other)/d(self) at x, or None."""
         return None
 
@@ -242,7 +281,7 @@ class MeasureExpr:
         """
         return None
 
-    def fixed_pair_rule(self, other: "MeasureExpr", x) -> Optional[LogWeight]:
+    def fixed_pair_rule(self, other: "MeasureExpr", x) -> Optional[float]:
         """Last-resort rule between two base-chain fixed points.
 
         Consulted only when scalar classification fails; lets structured
@@ -264,8 +303,10 @@ class MeasureExpr:
 class Lebesgue(MeasureExpr):
     """Length/volume on the real line; a primitive measure."""
 
-    def log_density_at(self, x) -> LogWeight:
-        return ZERO
+    static_base = True
+
+    def log_density_at(self, x) -> float:
+        return 0.0
 
     def base_at(self, x) -> MeasureExpr:
         return self
@@ -278,8 +319,10 @@ class Lebesgue(MeasureExpr):
 class Counting(MeasureExpr):
     """Unit mass on every point of a countable carrier; a primitive measure."""
 
-    def log_density_at(self, x) -> LogWeight:
-        return ZERO
+    static_base = True
+
+    def log_density_at(self, x) -> float:
+        return 0.0
 
     def base_at(self, x) -> MeasureExpr:
         return self
@@ -293,6 +336,7 @@ class Dirac(MeasureExpr):
     """Unit point mass at ``atom``; a primitive measure."""
 
     atom: Any
+    static_base = True
 
     def check_point(self, x) -> None:
         if isinstance(self.atom, tuple):
@@ -301,8 +345,8 @@ class Dirac(MeasureExpr):
         elif not _is_scalar(x):
             raise ShapeError(f"Dirac expects a scalar point, got {x!r}")
 
-    def log_density_at(self, x) -> LogWeight:
-        return ZERO if x == self.atom else NEG_INF
+    def log_density_at(self, x) -> float:
+        return 0.0 if x == self.atom else -math.inf
 
     def base_at(self, x) -> MeasureExpr:
         return self
@@ -330,6 +374,7 @@ class Weighted(MeasureExpr):
 
     logweight: float
     base: MeasureExpr
+    static_base = True
 
     def __post_init__(self):
         w = float(self.logweight)
@@ -340,9 +385,9 @@ class Weighted(MeasureExpr):
     def check_point(self, x) -> None:
         self.base.check_point(x)
 
-    def log_density_at(self, x) -> LogWeight:
+    def log_density_at(self, x) -> float:
         _count_weight_evaluation()
-        return LogWeight(self.logweight)
+        return self.logweight
 
     def base_at(self, x) -> MeasureExpr:
         return self.base
@@ -367,7 +412,8 @@ def is_primitive(m: MeasureExpr) -> bool:
 
 def base_measure(m: MeasureExpr, x) -> MeasureExpr:
     """Base measure of m near x; primitives are their own base measure."""
-    m.check_point(x)
+    if not m.self_checking:
+        m.check_point(x)
     return m.base_at(x)
 
 
@@ -381,77 +427,114 @@ def log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> LogWeig
     Raises UnrelatedPrimitivesError when the recursion bottoms out at two
     distinct primitive measures with no rule (e.g. Lebesgue vs Counting).
     """
-    m.check_point(x)
+    return LogWeight(_log_density(m, x, wrt))
+
+
+def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
+    """`log_density` as an engine float (NaN for undefined)."""
+    if not m.self_checking:
+        m.check_point(x)
     if wrt is None:
         return m.log_density_at(x)
-    wrt.check_point(x)
+    if not wrt.self_checking:
+        wrt.check_point(x)
     return _recurse(m, wrt, x)
 
 
-def _recurse(mu: MeasureExpr, nu: MeasureExpr, x) -> LogWeight:
+def _recurse(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
     # The source-chain and target-chain sums are accumulated separately and
     # combined once, so swapping the arguments negates the result bitwise.
-    num = ZERO
-    den = ZERO
-    for _ in range(_MAX_CHAIN_STEPS):
-        if mu == nu:
-            return (num - den) + ZERO
-        rule = mu.rule_vs(nu, x)
-        if rule is None:
-            rule = nu.rule_as_target(mu, x)
-        if rule is not None:
-            return (num - den) + rule
-        mu_base = mu.base_at(x)
-        if mu_base != mu:
-            num = num + mu.log_density_at(x)
-            mu = mu_base
+    # The source side is stepped first and its chain is kept: the target
+    # side stops at the first node of it that it reaches, which is where the
+    # swapped walk stops too.  So when one measure lies on the other's base
+    # chain, only the other side is stepped, in either argument order.
+    top_mu, top_nu = mu, nu
+    # Self-checking sides are validated by their first unfold, or else on exit.
+    mu_pending, nu_pending = mu.self_checking, nu.self_checking
+    nodes = []  # mu's base chain ...
+    sums = []  # ... and the source sum on reaching each of its nodes
+    num = den = 0.0
+    try:
+        for _ in range(_MAX_CHAIN_STEPS):
+            if mu is nu or mu == nu:
+                if mu is top_mu:
+                    nu_pending = False  # equal measures share one check
+                return (num - den) + 0.0
+            rule = mu.rule_vs(nu, x)
+            if rule is None:
+                rule = nu.rule_as_target(mu, x)
+            if rule is not None:
+                return (num - den) + rule
+            nodes.append(mu)
+            sums.append(num)
+            step = mu.unfold(x)
+            mu_pending = False
+            if step is None:
+                break
+            num += step[0]
+            mu = step[1]
+            if num != num:
+                return num
         else:
-            nu_base = nu.base_at(x)
-            if nu_base != nu:
-                den = den + nu.log_density_at(x)
-                nu = nu_base
-            else:
+            raise RuntimeError("base-measure recursion did not terminate")
+        for _ in range(_MAX_CHAIN_STEPS):
+            step = nu.unfold(x)
+            nu_pending = False
+            if step is None:
                 rule = _fixed_point_rule(mu, nu, x)
                 if rule is None:
                     raise UnrelatedPrimitivesError(
                         f"unrelated primitive measures: {mu!r} vs {nu!r}"
                     )
                 return (num - den) + rule
-        if num.is_undefined or den.is_undefined:
-            return UNDEFINED
-        if num.is_neg_inf and den.is_neg_inf:
-            # Both measures vanish locally: neither dominates.
-            return UNDEFINED
-    raise RuntimeError("base-measure recursion did not terminate")
+            den += step[0]
+            nu = step[1]
+            if den != den or (num == -math.inf and den == -math.inf):
+                # Undefined, or both measures vanish locally: neither dominates.
+                return math.nan
+            for node, source_sum in zip(nodes, sums):
+                if node is nu or node == nu:
+                    return (source_sum - den) + 0.0
+            rule = mu.rule_vs(nu, x)
+            if rule is None:
+                rule = nu.rule_as_target(mu, x)
+            if rule is not None:
+                return (num - den) + rule
+        raise RuntimeError("base-measure recursion did not terminate")
+    finally:
+        if mu_pending:
+            top_mu.check_point(x)
+        if nu_pending:
+            top_nu.check_point(x)
 
 
-def _fixed_point_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> Optional[LogWeight]:
+def _fixed_point_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> Optional[float]:
     """Density between two base-chain fixed points, or None when unrelated.
 
     Structural equality was already ruled out by the caller.
     """
     if isinstance(mu, Dirac) and isinstance(nu, Dirac):
         # Distinct atoms: neither measure dominates the other anywhere.
-        return UNDEFINED
+        return math.nan
     if isinstance(mu, Dirac):
         ref = nu.reference_class()
         if ref is None:
             return None
         if ref[0] == "counting":
-            return LogWeight(-ref[1]) if x == mu.atom else NEG_INF
-        return UNDEFINED if x == mu.atom else NEG_INF
+            return -ref[1] if x == mu.atom else -math.inf
+        return math.nan if x == mu.atom else -math.inf
     if isinstance(nu, Dirac):
         ref = mu.reference_class()
         if ref is None:
             return None
         if ref[0] == "counting":
-            return LogWeight(ref[1]) if x == nu.atom else POS_INF
-        return UNDEFINED if x == nu.atom else POS_INF
+            return ref[1] if x == nu.atom else math.inf
+        return math.nan if x == nu.atom else math.inf
     mu_ref = mu.reference_class()
     nu_ref = nu.reference_class()
     if mu_ref is not None and nu_ref is not None and mu_ref[0] == nu_ref[0]:
         # Both sides are rescalings of the same primitive reference.
-        return LogWeight(mu_ref[1] - nu_ref[1])
+        return mu_ref[1] - nu_ref[1]
     rule = mu.fixed_pair_rule(nu, x)
     if rule is not None:
         return rule

@@ -10,11 +10,11 @@ data-dependent log-densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import catalog, core, rng
-from .combinators import Power, Product
+from .combinators import LocalProduct
 from .core import LogWeight, MeasureExpr, NotProbabilityError, ShapeError
 
 # Closed vocabulary of serializable parameter maps.
@@ -45,18 +45,33 @@ class Kernel:
 
     Either a registered family name plus per-parameter maps, or an opaque
     function.  Application is deterministic and yields structurally equal
-    measures for equal inputs.
+    measures for equal inputs.  The family factory and the maps are resolved
+    once, at construction; the resolved form takes no part in equality,
+    hashing or repr.
     """
 
     family: Optional[str] = None
     maps: Tuple[Tuple[str, Any], ...] = ()
     fn: Optional[Callable[[Any], MeasureExpr]] = None
+    _apply: Callable[[Any], MeasureExpr] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.fn is not None:
+            apply = self.fn
+        else:
+            try:
+                factory = catalog.FAMILIES[self.family]
+            except KeyError:
+                raise ValueError(f"unknown measure family {self.family!r}") from None
+            resolved = tuple((name, resolve_map(spec)) for name, spec in self.maps)
+
+            def apply(x):
+                return factory(**{name: f(x) for name, f in resolved})
+
+        object.__setattr__(self, "_apply", apply)
 
     def __call__(self, x) -> MeasureExpr:
-        if self.fn is not None:
-            return self.fn(x)
-        factory = catalog.FAMILIES[self.family]
-        return factory(**{name: resolve_map(spec)(x) for name, spec in self.maps})
+        return self._apply(x)
 
 
 def make_kernel(family: str, **param_maps) -> Kernel:
@@ -66,12 +81,9 @@ def make_kernel(family: str, **param_maps) -> Kernel:
     `resolve_map`.  The family must be registered and the map names must form
     a valid parameterization of it.
     """
-    if family not in catalog.FAMILIES:
-        raise ValueError(f"unknown measure family {family!r}")
-    for spec in param_maps.values():
-        resolve_map(spec)  # validates named forms eagerly
+    kernel = Kernel(family=family, maps=tuple(sorted(param_maps.items())))
     _validate_param_names(family, set(param_maps))
-    return Kernel(family=family, maps=tuple(sorted(param_maps.items())))
+    return kernel
 
 
 _PARAMETERIZATIONS = {
@@ -112,41 +124,30 @@ def apply_kernel(k, x) -> MeasureExpr:
 
 
 @dataclass(frozen=True)
-class Chain(MeasureExpr):
+class Chain(LocalProduct):
     """Markov chain: initial probability measure plus a step kernel.
 
     As a measure expression it is evaluated at finite prefixes: the
     log-density of a length-n prefix is the data-dependent sum
     log p(x1) + sum_i log p(x_{i+1} | x_i), and the base measure at the
     prefix is assembled from the initial and per-step bases, so densities
-    against Lebesgue^n work through the ordinary recursion.
+    against Lebesgue^n work through the ordinary recursion.  Each evaluation
+    applies the step kernel once per element.
     """
 
     initial: MeasureExpr
     step: Kernel
 
-    def check_point(self, x) -> None:
+    def _factors(self, x):
         if not isinstance(x, (tuple, list)) or len(x) == 0:
             raise ShapeError(f"Chain expects a nonempty finite prefix, got {x!r}")
         self.initial.check_point(x[0])
+        elements = [self.initial]
         for prev, cur in zip(x, x[1:]):
-            self.step(prev).check_point(cur)
-
-    def log_density_at(self, x) -> LogWeight:
-        total = self.initial.log_density_at(x[0])
-        for prev, cur in zip(x, x[1:]):
-            total = total + self.step(prev).log_density_at(cur)
-        return total
-
-    def base_at(self, x) -> MeasureExpr:
-        bases = [self.initial.base_at(x[0])]
-        for prev, cur in zip(x, x[1:]):
-            bases.append(self.step(prev).base_at(cur))
-        if len(bases) == 1:
-            return bases[0]
-        if all(b == bases[0] for b in bases[1:]):
-            return Power(bases[0], (len(bases),))
-        return Product(tuple(bases))
+            m = self.step(prev)
+            m.check_point(cur)
+            elements.append(m)
+        return elements
 
     def log_total_mass(self):
         # Assumes the step kernel is Markov; each element draw re-checks it.

@@ -239,6 +239,29 @@ class TestLogDensityCommand:
         assert out == "-0.4149771036439342\n"
 
 
+    def test_negative_exponent_point_as_separate_argument(self, tmp_path, capsys):
+        expr = write_doc(tmp_path, "n", {"Normal": {}})
+        wrt = write_doc(tmp_path, "leb", {"Lebesgue": {}})
+        base = ["logdensity", "--expr", expr, "--wrt", wrt]
+        code, joined, _ = run(capsys, base + ["--at=-1e-05"])
+        assert code == 0
+        code, separate, err = run(capsys, base + ["--at", "-1e-05"])
+        assert code == 0, err
+        assert separate == joined == "-0.91893853325467267\n"
+
+    def test_too_deep_mixture_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        doc = {"Superpose": [
+            {"Scale": {"logw": -math.log(300), "of": {"Normal": {"mu": 0.01 * i}}}}
+            for i in range(300)
+        ]}
+        expr = write_doc(tmp_path, "deep", doc)
+        wrt = write_doc(tmp_path, "leb", {"Lebesgue": {}})
+        code, out, err = run(capsys, ["logdensity", "--expr", expr, "--wrt", wrt, "--at", "0.1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestSampleCommand:
     def test_dirac_two_draws(self, tmp_path, capsys):
         expr = write_doc(tmp_path, "d3", {"Dirac": {"a": 3}})
@@ -355,6 +378,12 @@ class TestUsageErrors:
 
     def test_missing_required_argument(self, capsys):
         assert main(["logdensity", "--at", "0"]) == 1
+
+    def test_negative_range_bounds_in_exponent_notation(self, tmp_path, capsys):
+        expr = write_doc(tmp_path, "n", {"Normal": {}})
+        code, out, _ = run(capsys, ["check", "--expr", expr, "--lo", "-8e0", "--hi", "8e0"])
+        assert code == 0
+        assert out.endswith("PASS\n")
 
     def test_missing_file(self, capsys):
         assert main(["logdensity", "--expr", "/nonexistent.json", "--at", "0"]) == 1

@@ -100,8 +100,78 @@ class TestPower:
         with pytest.raises(ValueError):
             mk.power(mk.make_normal(), ())
 
+    def test_base_per_coordinate_when_child_base_depends_on_the_point(self):
+        coin = mk.bind(
+            mk.Bernoulli(0.5), lambda a: mk.make_normal() if a == 1 else mk.Poisson(2.0)
+        )
+        m = mk.power(coin, (2,))
+        x = ((0, 2), (1, 0.3))
+        normal_weight = -0.5 * math.log(2.0 * math.pi)
+        assert base_measure(m, x) == mk.Product((
+            mk.Product((COUNTING, COUNTING)),
+            mk.Product((COUNTING, mk.Weighted(normal_weight, LEBESGUE))),
+        ))
+        ref = scale(1.0, mk.Product((
+            mk.Product((COUNTING, COUNTING)), mk.Product((COUNTING, LEBESGUE))
+        )))
+        got = log_density(m, x, wrt=ref)
+        expected = (
+            math.log(0.5) + (2.0 * math.log(2.0) - 2.0 - math.log(2.0))
+            + math.log(0.5) + float(dec_normal_logpdf(0.3)) - 1.0
+        )
+        assert got.value == pytest.approx(expected, abs=1e-12)
+        assert round(got.value, 3) == -4.657
+
+    def test_point_dependent_bases_nest_by_shape(self):
+        coin = mk.bind(
+            mk.Bernoulli(0.5), lambda a: mk.make_normal() if a == 1 else mk.Poisson(2.0)
+        )
+        x = (((0, 2), (1, 0.3)), ((1, -0.2), (0, 1)))
+
+        def ref(xi):
+            return mk.product(COUNTING, COUNTING if xi[0] == 0 else LEBESGUE)
+
+        got = log_density(mk.power(coin, (2, 2)), x,
+                          wrt=mk.Product(tuple(mk.Product(tuple(ref(xi) for xi in row)) for row in x)))
+        expected = sum(log_density(coin, xi, wrt=ref(xi)).value for row in x for xi in row)
+        assert got.value == pytest.approx(expected, abs=1e-12)
+
+    def test_static_child_base_is_computed_once(self):
+        calls = []
+
+        class Counted(mk.Normal):
+            def base_at(self, x):
+                calls.append(x)
+                return super().base_at(x)
+
+        m = mk.power(Counted(0.0, 2.0), (50,))
+        base = base_measure(m, tuple(0.1 * i for i in range(50)))
+        assert len(calls) == 1
+        assert base == mk.Weighted(
+            50 * (-math.log(2.0) - 0.5 * math.log(2.0 * math.pi)), mk.power(LEBESGUE, (50,))
+        )
+
 
 class TestForProduct:
+    def test_kernel_applied_once_per_index(self):
+        calls = []
+
+        def kernel(j):
+            calls.append(j)
+            return mk.make_normal(mu=j, sigma=2.0)
+
+        m = mk.for_product(range(20), kernel)
+        ys = tuple(0.5 * j for j in range(20))
+        mk.reset_weight_evaluations()
+        got = log_density(m, ys, wrt=mk.power(LEBESGUE, (20,)))
+        assert len(calls) == 20
+        assert mk.weight_evaluations() == 1
+        expected = sum(
+            log_density(mk.make_normal(mu=j, sigma=2.0), y, wrt=LEBESGUE).value
+            for j, y in enumerate(ys)
+        )
+        assert got.value == pytest.approx(expected, abs=1e-12)
+
     def test_each_coordinate_at_its_mean(self):
         m = mk.for_product((1, 2, 3), lambda j: mk.make_normal(mu=j, sigma=1))
         assert log_density(m, (1.0, 2.0, 3.0)) == 0.0
@@ -133,6 +203,20 @@ class TestForProduct:
 
 
 class TestBind:
+    def test_kernel_applied_once_per_evaluation(self):
+        calls = []
+
+        def kernel(v):
+            calls.append(v)
+            return mk.make_normal(mu=v)
+
+        m = mk.bind(mk.make_normal(), kernel)
+        log_density(m, (0.5, 1.0), wrt=LEB2)
+        assert len(calls) == 1
+        calls.clear()
+        log_density(m, (0.5, 1.0))
+        assert len(calls) == 1
+
     def test_dirac_bind_data_term(self):
         m = mk.bind(Dirac(2), lambda x: mk.make_normal(mu=x, sigma=1))
         assert log_density(m, (2, 2)) == 0.0

@@ -243,3 +243,89 @@ class TestDecompositionExactness:
             via_engine = log_density(n, x, wrt=LEBESGUE).value
             by_hand = log_density(n, x).value + base_measure(n, x).logweight
             assert via_engine == by_hand
+
+
+class TestAntisymmetryAgainstOwnBase:
+    # The walk from a measure stops at its base; the swapped walk must stop
+    # there too, not telescope both sides down to Lebesgue.
+    @pytest.mark.parametrize(
+        "m, point",
+        [
+            (mk.Normal(0.3, 1.7), lambda rnd: rnd.uniform(-6.0, 6.0)),
+            (
+                mk.power(mk.Normal(0.3, 1.7), (100,)),
+                lambda rnd: tuple(rnd.uniform(-6.0, 6.0) for _ in range(100)),
+            ),
+        ],
+    )
+    def test_bitwise_at_1000_points(self, m, point):
+        rnd = random.Random(665)
+        for _ in range(1000):
+            x = point(rnd)
+            base = base_measure(m, x)
+            forward = log_density(m, x, wrt=base)
+            assert forward == log_density(m, x)
+            assert forward == -log_density(base, x, wrt=m)
+
+
+class TestShapeChecks:
+    def test_malformed_point_against_wrt_alone(self):
+        walk = mk.chain(mk.make_kernel("Normal", mu="identity"), mk.make_normal())
+        with pytest.raises(ShapeError):
+            log_density(LEBESGUE, 0.5, wrt=walk)
+        with pytest.raises(ShapeError):
+            log_density(mk.power(LEBESGUE, (2,)), (0.5, 1.0), wrt=mk.power(LEBESGUE, (3,)))
+
+    def test_malformed_point_when_mu_equals_wrt(self):
+        walk = mk.chain(mk.make_kernel("Normal", mu="identity"), mk.make_normal())
+        bad_chain = mk.chain(lambda x: mk.product(mk.make_normal(), mk.make_normal()),
+                             mk.make_normal())
+        for m, x in [
+            (mk.make_normal(), (1.0, 2.0)),
+            (mk.power(mk.make_normal(), (3,)), (1.0, 2.0)),
+            (walk, 0.5),
+            (bad_chain, (0.0, 0.5)),
+            (mk.for_product((1, 2), lambda j: mk.make_normal(mu=j)), (1.0, (2.0,))),
+            (mk.bind(mk.make_normal(), lambda v: mk.make_normal(mu=v)), (0.0, "y")),
+        ]:
+            with pytest.raises(ShapeError):
+                log_density(m, x, wrt=m)
+
+    def test_kernel_nodes_reject_malformed_points(self):
+        walk = mk.chain(mk.make_kernel("Normal", mu="identity"), mk.make_normal())
+        pair = mk.bind(mk.make_normal(), mk.make_kernel("Normal", mu="identity"))
+        indexed = mk.for_product((1, 2), lambda j: mk.make_normal(mu=j))
+        refs = [None, LEBESGUE, mk.power(LEBESGUE, (2,)), mk.superpose(LEBESGUE, LEBESGUE)]
+        for m in (walk, pair, indexed):
+            for x in (0.3, "ab", ((0.1,), 0.2)):
+                with pytest.raises(ShapeError):
+                    base_measure(m, x)
+                for ref in refs:
+                    with pytest.raises(ShapeError):
+                        log_density(m, x, wrt=ref)
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, 1j])
+    def test_non_real_power_entries_rejected(self, bad):
+        m = mk.power(mk.make_normal(), (3,))
+        for wrt in (None, mk.power(LEBESGUE, (3,))):
+            with pytest.raises(ShapeError):
+                log_density(m, (0.5, bad, 1.0), wrt=wrt)
+
+    def test_int_and_float_entries_accepted(self):
+        m = mk.power(mk.make_normal(), (2,))
+        assert log_density(m, (0, 1.0)) == -0.5
+
+
+class TestSpecialValuesAtTheBoundary:
+    def test_engine_results_come_out_as_log_weight_constants(self):
+        undefined = log_density(Dirac(0), 0, wrt=Dirac(1))
+        assert isinstance(undefined, mk.LogWeight)
+        assert undefined.is_undefined and undefined == mk.UNDEFINED
+        pos = log_density(COUNTING, 5, wrt=Dirac(0))
+        assert pos.is_pos_inf and pos == mk.POS_INF
+        neg = log_density(Dirac(0), 5, wrt=COUNTING)
+        assert neg.is_neg_inf and neg == mk.NEG_INF
+        both_vanish = log_density(scale(-math.inf, mk.make_normal()),
+                                  0.5, wrt=scale(-math.inf, mk.Uniform01()))
+        assert both_vanish.is_undefined
+        assert log_density(mk.Uniform01(), 2.0).is_neg_inf

@@ -57,6 +57,15 @@ class TestMakeKernel:
         k = make_kernel("Normal", mu="affine:2:1", sigma="const:3")
         assert mk.apply_kernel(k, 0.5) == mk.apply_kernel(k, 0.5)
 
+    def test_resolved_maps_take_no_part_in_identity(self):
+        a = make_kernel("Normal", mu="affine:2:1", sigma="const:3")
+        b = make_kernel("Normal", sigma="const:3", mu="affine:2:1")
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "Kernel(family='Normal', maps=(('mu', 'affine:2:1'), ('sigma', 'const:3')), fn=None)"
+        )
+        assert a != make_kernel("Normal", mu="affine:2:1", sigma="const:2")
+
 
 class TestChainConstruction:
     def test_gaussian_walk_builds(self):
@@ -150,3 +159,43 @@ class TestChainLogDensity:
     def test_empty_prefix_rejected(self):
         with pytest.raises(mk.ShapeError):
             chain_logdensity(gaussian_walk(), [])
+
+
+class TestOnePassPerElement:
+    @staticmethod
+    def counting_walk():
+        calls = []
+
+        def step(v):
+            calls.append(v)
+            return mk.Normal(v, 0.5)
+
+        return chain(mk.Kernel(fn=step), mk.Normal(0.0, 2.0)), calls
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
+    def test_kernel_applied_once_per_step(self, n):
+        walk, calls = self.counting_walk()
+        xs = tuple(0.01 * i for i in range(n))
+        chain_logdensity(walk, xs)
+        assert len(calls) == n - 1
+        calls.clear()
+        log_density(walk, xs, wrt=mk.power(LEBESGUE, (n,)))
+        assert len(calls) == n - 1
+
+    def test_weight_evaluations_do_not_grow_with_length(self):
+        walk = chain(make_kernel("Normal", mu="identity", sigma="const:0.5"), mk.Normal(0.0, 2.0))
+        counts = []
+        for n in (10, 1000):
+            xs = tuple(0.01 * i for i in range(n))
+            mk.reset_weight_evaluations()
+            log_density(walk, xs, wrt=mk.power(LEBESGUE, (n,)))
+            counts.append(mk.weight_evaluations())
+        assert counts == [1, 1]
+
+    def test_base_folds_weights_into_one_term(self):
+        walk = chain(make_kernel("Normal", mu="identity", sigma="const:0.5"), mk.Normal(0.0, 2.0))
+        base = mk.base_measure(walk, (0.1, 0.2, 0.3))
+        w0 = -math.log(2.0) - 0.5 * math.log(2.0 * math.pi)
+        w = -math.log(0.5) - 0.5 * math.log(2.0 * math.pi)
+        assert base == mk.Weighted(w0 + w + w, mk.power(LEBESGUE, (3,)))
+        assert mk.base_measure(walk, (0.1,)) == mk.Weighted(w0, mk.power(LEBESGUE, (1,)))
