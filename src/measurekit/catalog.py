@@ -5,14 +5,17 @@ the data-dependent terms, while constant and parameter-dependent terms (the
 normalization) are pushed to a Weighted base measure.  Outside the support the
 data term is -inf, never an error.
 
-Families register one or more parameterizations by name set; construction
-dispatches on the names given and never converts between parameterizations.
+`FAMILIES` declares, once per family, the accepted parameter name sets and
+how document names map to fields; construction, kernels and the document
+format all read it.  Construction dispatches on the names given and never
+converts between parameterizations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, Optional, Set, Tuple
 
 from . import rng
 from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _is_scalar
@@ -179,7 +182,7 @@ class NegativeBinomial(MeasureExpr):
     * ``(alpha, beta)``: pmf C(y+alpha-1, alpha-1) (beta/(beta+1))^alpha
       (1/(beta+1))^y
 
-    ``params`` is a name-sorted tuple of (name, value) pairs; use
+    ``params`` holds (name, value) pairs, sorted by name on construction; use
     `make_negbinomial` to construct from keywords.
     """
 
@@ -187,48 +190,25 @@ class NegativeBinomial(MeasureExpr):
     static_base = True
 
     def __post_init__(self):
-        names = tuple(name for name, _ in self.params)
-        values = {name: float(value) for name, value in self.params}
-        if names == ("p", "r"):
-            if not values["r"] > 0.0:
-                raise ValueError(f"NegativeBinomial requires r > 0, got {values['r']}")
-            if not 0.0 < values["p"] < 1.0:
-                raise ValueError(f"NegativeBinomial requires 0 < p < 1, got {values['p']}")
-        elif names == ("alpha", "beta"):
-            if not values["alpha"] > 0.0:
-                raise ValueError(
-                    f"NegativeBinomial requires alpha > 0, got {values['alpha']}"
-                )
-            if not values["beta"] > 0.0:
-                raise ValueError(
-                    f"NegativeBinomial requires beta > 0, got {values['beta']}"
-                )
-        else:
-            raise ValueError(
-                "unknown parameterization {%s} for NegativeBinomial; "
-                "expected {p,r} or {alpha,beta}" % ",".join(names)
-            )
-        object.__setattr__(
-            self, "params", tuple((name, float(value)) for name, value in self.params)
-        )
-
-    def _param(self, name: str) -> float:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
+        FAMILIES["NegativeBinomial"].check(name for name, _ in self.params)
+        params = tuple(sorted((name, float(value)) for name, value in self.params))
+        object.__setattr__(self, "params", params)
+        values = dict(params)
+        for name in ("r", "alpha", "beta"):
+            if name in values and not values[name] > 0.0:
+                raise ValueError(f"NegativeBinomial requires {name} > 0, got {values[name]}")
+        if "p" in values and not 0.0 < values["p"] < 1.0:
+            raise ValueError(f"NegativeBinomial requires 0 < p < 1, got {values['p']}")
 
     def log_density_at(self, x) -> float:
         if not _is_count(x):
             return -math.inf
         y = float(x)
-        names = tuple(name for name, _ in self.params)
-        if names == ("p", "r"):
-            r = self._param("r")
-            p = self._param("p")
+        (first, a), (_, b) = self.params
+        if first == "p":
+            p, r = a, b
             return log_binomial(y + r - 1.0, r - 1.0) + r * math.log(p) + y * math.log1p(-p)
-        alpha = self._param("alpha")
-        beta = self._param("beta")
+        alpha, beta = a, b
         return (
             log_binomial(y + alpha - 1.0, alpha - 1.0)
             + alpha * (math.log(beta) - math.log1p(beta))
@@ -242,14 +222,11 @@ class NegativeBinomial(MeasureExpr):
         return 0.0
 
     def _sample_normalized(self, seed: int):
-        names = tuple(name for name, _ in self.params)
-        if names == ("p", "r"):
-            r = self._param("r")
-            p = self._param("p")
-            scale = (1.0 - p) / p
+        (first, a), (_, b) = self.params
+        if first == "p":
+            r, scale = b, (1.0 - a) / a
         else:
-            r = self._param("alpha")
-            scale = 1.0 / self._param("beta")
+            r, scale = a, 1.0 / b
         stream = rng.RandomStream(seed)
         lam = _gamma_draw(stream, r) * scale
         if lam == 0.0:
@@ -262,40 +239,83 @@ class NegativeBinomial(MeasureExpr):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Family:
+    """A catalog family as constructors, kernels and documents see it.
+
+    ``parameterizations`` are the accepted sets of parameter names.  ``build``
+    makes the measure from keyword parameters named as in one of those sets,
+    and ``params`` reads them back from a measure, in document order; both
+    default to the fields of ``cls``.  Calling the family checks the names and
+    builds.
+    """
+
+    cls: type
+    parameterizations: Tuple[Set[str], ...]
+    build: Optional[Callable[..., MeasureExpr]] = None
+    params: Optional[Callable[[MeasureExpr], dict]] = None
+
+    def __post_init__(self):
+        if self.build is None:
+            object.__setattr__(self, "build", self.cls)
+        if self.params is None:
+            names = [f.name for f in fields(self.cls)]
+            object.__setattr__(self, "params", lambda m: {n: getattr(m, n) for n in names})
+
+    def check(self, names) -> None:
+        """Raise ValueError unless the names form one parameterization."""
+        names = sorted(names)
+        if len(set(names)) != len(names) or set(names) not in self.parameterizations:
+            raise ValueError(
+                "unknown parameterization {%s} for %s; expected %s"
+                % (
+                    ",".join(names),
+                    self.cls.__name__,
+                    " or ".join("{%s}" % ",".join(sorted(s)) for s in self.parameterizations),
+                )
+            )
+
+    def __call__(self, **params) -> MeasureExpr:
+        self.check(params)
+        return self.build(**params)
+
+
+FAMILIES = {
+    family.cls.__name__: family
+    for family in (
+        Family(Normal, ({"mu", "sigma"}, {"mu"}, {"sigma"}, set())),
+        Family(
+            NegativeBinomial,
+            ({"p", "r"}, {"alpha", "beta"}),
+            build=lambda **params: NegativeBinomial(tuple(params.items())),
+            params=lambda m: dict(m.params),
+        ),
+        Family(Uniform01, (set(),)),
+        Family(Bernoulli, ({"p"}, set())),
+        Family(Poisson, ({"rate"}, set())),
+        Family(Exponential, ({"rate"}, set())),
+        Family(Dirac, ({"a"},), build=lambda a: Dirac(a), params=lambda m: {"a": m.atom}),
+    )
+}
+
+
 def make_normal(**params) -> Normal:
     """Normal from named parameters (mu, sigma), with defaults mu=0, sigma=1."""
-    unknown = set(params) - {"mu", "sigma"}
-    if unknown:
-        raise ValueError(
-            "unknown parameterization {%s} for Normal; expected names from {mu,sigma}"
-            % ",".join(sorted(params))
-        )
-    return Normal(mu=params.get("mu", 0.0), sigma=params.get("sigma", 1.0))
+    return FAMILIES["Normal"](**params)
 
 
 def make_negbinomial(**params) -> NegativeBinomial:
     """NegativeBinomial from named parameters: either (r, p) or (alpha, beta)."""
-    return NegativeBinomial(params=tuple(sorted(params.items())))
+    return FAMILIES["NegativeBinomial"](**params)
 
 
 def make_simple(kind: str, **params) -> MeasureExpr:
-    """Construct one of the simple catalog measures by name."""
+    """Construct one of the catalog measures by family name."""
     try:
-        factory = FAMILIES[kind]
+        family = FAMILIES[kind]
     except KeyError:
         raise ValueError(f"unknown measure family {kind!r}") from None
-    return factory(**params)
-
-
-FAMILIES = {
-    "Normal": make_normal,
-    "NegativeBinomial": make_negbinomial,
-    "Uniform01": Uniform01,
-    "Bernoulli": Bernoulli,
-    "Poisson": Poisson,
-    "Exponential": Exponential,
-    "Dirac": lambda a: Dirac(atom=a),
-}
+    return family(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,16 @@ single-key object naming its kind, e.g.::
                "step": {"family": "Normal",
                         "maps": {"mu": "identity", "sigma": "const:1"}}}}
 
-Subcommands: ``logdensity``, ``sample``, ``check``.  Exit codes: 0 success,
-1 usage/parse/shape errors and expressions nested too deeply to evaluate,
-2 measure-theoretic failures (unrelated primitive measures, undefined
-density).
+A ``Superpose`` lists its components flat, two or more of them.  Each kind
+is declared once, in ``_NODES``: its node class and the codec of its body,
+which both `parse_expr` and `print_expr` read; the catalog families' entries
+come from `catalog.FAMILIES`.
+
+Subcommands: ``logdensity``, ``sample``, ``check``.  ``check`` sums over the
+integers when the measure relates to counting measure and integrates
+otherwise.  Exit codes: 0 success, 1 usage/parse/shape errors and expressions
+nested too deeply to evaluate, 2 measure-theoretic failures (unrelated
+primitive measures, undefined density).
 """
 
 from __future__ import annotations
@@ -23,18 +29,11 @@ import itertools
 import json
 import math
 import sys
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from . import core, verify
-from .catalog import (
-    Bernoulli,
-    Exponential,
-    NegativeBinomial,
-    Normal,
-    Poisson,
-    Uniform01,
-    make_negbinomial,
-    make_normal,
-)
+from .catalog import FAMILIES
 from .combinators import (
     AffineMap,
     Bind,
@@ -57,7 +56,6 @@ from .core import (
     COUNTING,
     LEBESGUE,
     Counting,
-    Dirac,
     Lebesgue,
     LogWeight,
     MeasureError,
@@ -93,16 +91,72 @@ def _point(v):
     return v
 
 
-def _require_keys(body, required, optional, path):
-    keys = set(body)
-    if not required <= keys or keys - required - optional:
-        raise ValueError(
-            f"at {path}: expected keys {sorted(required | optional)}, got {sorted(keys)}"
-        )
+def _listify(v):
+    if isinstance(v, tuple):
+        return [_listify(x) for x in v]
+    return v
+
+
+def _require_keys(body, keys, path):
+    if not isinstance(body, dict):
+        raise ValueError(f"at {path}: expected an object, got {body!r}")
+    if set(body) != keys:
+        raise ValueError(f"at {path}: expected keys {sorted(keys)}, got {sorted(body)}")
+
+
+class _Codec(NamedTuple):
+    """Both directions of one document value."""
+
+    parse: Callable  # (document value, path) -> value
+    print: Callable  # value -> document value
+
+
+def _fields(make, *fields) -> _Codec:
+    """Codec of an object built as ``make(*values)``.
+
+    Each field is (key, codec, attribute): the values are parsed in field
+    order, and printing reads each key's value back from the attribute.
+    """
+    keys = {key for key, _, _ in fields}
+    getters = [(key, codec, attrgetter(attr)) for key, codec, attr in fields]
+
+    def parse(body, path):
+        _require_keys(body, keys, path)
+        return make(*[codec.parse(body[key], f"{path}.{key}") for key, codec, _ in getters])
+
+    def show(m):
+        return {key: codec.print(get(m)) for key, codec, get in getters}
+
+    return _Codec(parse, show)
+
+
+def _children(make, attr: str) -> _Codec:
+    """Codec of a list of two or more expressions, built as ``make(list)``."""
+
+    def parse(body, path):
+        if not isinstance(body, list) or len(body) < 2:
+            raise ValueError(f"at {path}: expected a list of at least 2 children")
+        return make([parse_expr(child, f"{path}[{i}]") for i, child in enumerate(body)])
+
+    return _Codec(parse, lambda m: [print_expr(c) for c in getattr(m, attr)])
+
+
+def _family(family) -> _Codec:
+    """Codec of a catalog family's named parameters: numbers, or points."""
+
+    def parse(body, path):
+        if not isinstance(body, dict):
+            raise ValueError(f"at {path}: expected a parameter object")
+        return family(**{
+            name: _point(v) if isinstance(v, list) else _number(v, f"{path}.{name}")
+            for name, v in body.items()
+        })
+
+    return _Codec(parse, lambda m: {k: _listify(v) for k, v in family.params(m).items()})
 
 
 def _parse_kernel(doc, path) -> Kernel:
-    _require_keys(doc, {"family", "maps"}, set(), path)
+    _require_keys(doc, {"family", "maps"}, path)
     maps = doc["maps"]
     if not isinstance(maps, dict):
         raise ValueError(f"at {path}.maps: expected an object")
@@ -110,148 +164,6 @@ def _parse_kernel(doc, path) -> Kernel:
         return make_kernel(doc["family"], **maps)
     except ValueError as exc:
         raise ValueError(f"at {path}: {exc}") from None
-
-
-def parse_expr(doc, path: str = "$") -> MeasureExpr:
-    """Build a measure expression from its JSON document form."""
-    kind, body = _body(doc, path)
-    path = f"{path}.{kind}"
-    try:
-        parser = _PARSERS[kind]
-    except KeyError:
-        raise ValueError(f"at {path}: unknown kind {kind!r}") from None
-    try:
-        return parser(body, path)
-    except KeyError as exc:
-        raise ValueError(f"at {path}: missing key {exc}") from None
-    except (ValueError, TypeError) as exc:
-        if str(exc).startswith("at "):
-            raise
-        raise ValueError(f"at {path}: {exc}") from None
-
-
-def _parse_params(body, path):
-    if not isinstance(body, dict):
-        raise ValueError(f"at {path}: expected a parameter object")
-    return {name: _number(value, f"{path}.{name}") for name, value in body.items()}
-
-
-def _parse_children(body, path, minimum=2):
-    if not isinstance(body, list) or len(body) < minimum:
-        raise ValueError(f"at {path}: expected a list of at least {minimum} children")
-    return [parse_expr(child, f"{path}[{i}]") for i, child in enumerate(body)]
-
-
-def _parse_superpose(body, path):
-    children = _parse_children(body, path)
-    result = children[-1]
-    for child in reversed(children[:-1]):
-        result = superpose(child, result)
-    return result
-
-
-def _parse_empty(builder):
-    def parse(body, path):
-        if not isinstance(body, dict) or body:
-            raise ValueError(f"at {path}: expected an empty object")
-        return builder()
-
-    return parse
-
-
-def _parse_dirac(body, path):
-    _require_keys(body, {"a"}, set(), path)
-    return Dirac(_point(body["a"]))
-
-
-def _parse_scale(body, path):
-    _require_keys(body, {"logw", "of"}, set(), path)
-    return scale(_number(body["logw"], f"{path}.logw"), parse_expr(body["of"], f"{path}.of"))
-
-
-def _parse_power(body, path):
-    _require_keys(body, {"of", "shape"}, set(), path)
-    shape = body["shape"]
-    if not isinstance(shape, list):
-        raise ValueError(f"at {path}.shape: expected a list of integers")
-    return power(parse_expr(body["of"], f"{path}.of"), tuple(shape))
-
-
-def _parse_for(body, path):
-    _require_keys(body, {"indices", "kernel"}, set(), path)
-    return for_product(
-        tuple(body["indices"]), _parse_kernel(body["kernel"], f"{path}.kernel")
-    )
-
-
-def _parse_bind(body, path):
-    _require_keys(body, {"of", "kernel"}, set(), path)
-    return bind(
-        parse_expr(body["of"], f"{path}.of"),
-        _parse_kernel(body["kernel"], f"{path}.kernel"),
-    )
-
-
-def _parse_pointwise(body, path):
-    _require_keys(body, {"of", "likelihood"}, set(), path)
-    lik = body["likelihood"]
-    _require_keys(lik, {"kernel", "x"}, set(), f"{path}.likelihood")
-    return pointwise_product(
-        parse_expr(body["of"], f"{path}.of"),
-        Likelihood(
-            _parse_kernel(lik["kernel"], f"{path}.likelihood.kernel"),
-            _point(lik["x"]),
-        ),
-    )
-
-
-def _parse_pushforward(body, path):
-    mode = body.get("mode")
-    if mode == "Forward":
-        _require_keys(body, {"mode", "sigma", "x0", "of"}, set(), path)
-        t = AffineMap("forward", _point(body["sigma"]), _point(body["x0"]))
-    elif mode == "Inverse":
-        _require_keys(body, {"mode", "psi", "mu0", "of"}, set(), path)
-        t = AffineMap("inverse", _point(body["psi"]), _point(body["mu0"]))
-    else:
-        raise ValueError(f"at {path}.mode: expected 'Forward' or 'Inverse', got {mode!r}")
-    return pushforward(t, parse_expr(body["of"], f"{path}.of"))
-
-
-def _parse_chain(body, path):
-    _require_keys(body, {"initial", "step"}, set(), path)
-    return chain(
-        _parse_kernel(body["step"], f"{path}.step"),
-        parse_expr(body["initial"], f"{path}.initial"),
-    )
-
-
-_PARSERS = {
-    "Lebesgue": _parse_empty(lambda: LEBESGUE),
-    "Counting": _parse_empty(lambda: COUNTING),
-    "Dirac": _parse_dirac,
-    "Normal": lambda body, path: make_normal(**_parse_params(body, path)),
-    "NegativeBinomial": lambda body, path: make_negbinomial(**_parse_params(body, path)),
-    "Uniform01": _parse_empty(Uniform01),
-    "Bernoulli": lambda body, path: Bernoulli(**_parse_params(body, path)),
-    "Poisson": lambda body, path: Poisson(**_parse_params(body, path)),
-    "Exponential": lambda body, path: Exponential(**_parse_params(body, path)),
-    "Scale": _parse_scale,
-    "Superpose": _parse_superpose,
-    "Product": lambda body, path: Product(tuple(_parse_children(body, path))),
-    "Power": _parse_power,
-    "For": _parse_for,
-    "Bind": _parse_bind,
-    "PointwiseProduct": _parse_pointwise,
-    "Pushforward": _parse_pushforward,
-    "Chain": _parse_chain,
-}
-
-
-def _listify(v):
-    if isinstance(v, tuple):
-        return [_listify(x) for x in v]
-    return v
 
 
 def _print_kernel(k):
@@ -264,73 +176,95 @@ def _print_kernel(k):
     return {"family": k.family, "maps": dict(k.maps)}
 
 
+def _parse_shape(v, path):
+    if not isinstance(v, list):
+        raise ValueError(f"at {path}: expected a list of integers")
+    return tuple(v)
+
+
+def parse_expr(doc, path: str = "$") -> MeasureExpr:
+    """Build a measure expression from its JSON document form."""
+    kind, body = _body(doc, path)
+    path = f"{path}.{kind}"
+    try:
+        _, codec = _NODES[kind]
+    except KeyError:
+        raise ValueError(f"at {path}: unknown kind {kind!r}") from None
+    try:
+        return codec.parse(body, path)
+    except (ValueError, TypeError) as exc:
+        if str(exc).startswith("at "):
+            raise
+        raise ValueError(f"at {path}: {exc}") from None
+
+
 def print_expr(m: MeasureExpr):
     """Document form of a measure expression; inverse of `parse_expr`."""
-    if isinstance(m, Lebesgue):
-        return {"Lebesgue": {}}
-    if isinstance(m, Counting):
-        return {"Counting": {}}
-    if isinstance(m, Dirac):
-        return {"Dirac": {"a": _listify(m.atom)}}
-    if isinstance(m, Normal):
-        return {"Normal": {"mu": m.mu, "sigma": m.sigma}}
-    if isinstance(m, NegativeBinomial):
-        return {"NegativeBinomial": dict(m.params)}
-    if isinstance(m, Uniform01):
-        return {"Uniform01": {}}
-    if isinstance(m, Bernoulli):
-        return {"Bernoulli": {"p": m.p}}
-    if isinstance(m, Poisson):
-        return {"Poisson": {"rate": m.rate}}
-    if isinstance(m, Exponential):
-        return {"Exponential": {"rate": m.rate}}
-    if isinstance(m, Weighted):
-        return {"Scale": {"logw": m.logweight, "of": print_expr(m.base)}}
-    if isinstance(m, Superposition):
-        return {"Superpose": [print_expr(m.left), print_expr(m.right)]}
-    if isinstance(m, Product):
-        return {"Product": [print_expr(c) for c in m.children]}
-    if isinstance(m, Power):
-        return {"Power": {"of": print_expr(m.child), "shape": list(m.shape)}}
-    if isinstance(m, ForProduct):
-        return {
-            "For": {"indices": list(m.indices), "kernel": _print_kernel(m.kernel)}
-        }
-    if isinstance(m, Bind):
-        return {"Bind": {"of": print_expr(m.source), "kernel": _print_kernel(m.kernel)}}
-    if isinstance(m, PointwiseProduct):
-        return {
-            "PointwiseProduct": {
-                "of": print_expr(m.prior),
-                "likelihood": {
-                    "kernel": _print_kernel(m.likelihood.kernel),
-                    "x": _listify(m.likelihood.x),
-                },
-            }
-        }
-    if isinstance(m, Pushforward):
-        if m.map.mode == "forward":
-            return {
-                "Pushforward": {
-                    "mode": "Forward",
-                    "sigma": _listify(m.map.factor),
-                    "x0": _listify(m.map.offset),
-                    "of": print_expr(m.inner),
-                }
-            }
-        return {
-            "Pushforward": {
-                "mode": "Inverse",
-                "psi": _listify(m.map.factor),
-                "mu0": _listify(m.map.offset),
-                "of": print_expr(m.inner),
-            }
-        }
-    if isinstance(m, Chain):
-        return {
-            "Chain": {"initial": print_expr(m.initial), "step": _print_kernel(m.step)}
-        }
-    raise ValueError(f"expression {m!r} is not serializable")
+    try:
+        kind, codec = _KINDS[type(m)]
+    except KeyError:
+        raise ValueError(f"expression {m!r} is not serializable") from None
+    return {kind: codec.print(m)}
+
+
+_NUMBER = _Codec(_number, lambda v: v)
+_POINT = _Codec(lambda v, path: _point(v), _listify)
+_EXPR = _Codec(parse_expr, print_expr)
+_KERNEL = _Codec(_parse_kernel, _print_kernel)
+
+
+def _affine(mode: str, factor: str, offset: str) -> _Codec:
+    """Codec of a pushforward whose map is in the given mode."""
+    return _fields(
+        lambda _, f, o, of: pushforward(AffineMap(mode, f, o), of),
+        ("mode", _Codec(lambda v, path: v, str.capitalize), "map.mode"),
+        (factor, _POINT, "map.factor"),
+        (offset, _POINT, "map.offset"),
+        ("of", _EXPR, "inner"),
+    )
+
+
+# A pushforward's keys depend on its map's mode.
+_AFFINE = {
+    "Forward": _affine("forward", "sigma", "x0"),
+    "Inverse": _affine("inverse", "psi", "mu0"),
+}
+
+
+def _parse_pushforward(body, path):
+    mode = body.get("mode") if isinstance(body, dict) else None
+    if mode not in _AFFINE:
+        raise ValueError(f"at {path}.mode: expected 'Forward' or 'Inverse', got {mode!r}")
+    return _AFFINE[mode].parse(body, path)
+
+
+# Document kind -> (node class, codec of its body): the one table that both
+# `parse_expr` (by kind) and `print_expr` (by class) read.
+_NODES = {
+    "Lebesgue": (Lebesgue, _fields(lambda: LEBESGUE)),
+    "Counting": (Counting, _fields(lambda: COUNTING)),
+    **{name: (family.cls, _family(family)) for name, family in FAMILIES.items()},
+    "Scale": (Weighted, _fields(scale, ("logw", _NUMBER, "logweight"), ("of", _EXPR, "base"))),
+    "Superpose": (Superposition, _children(lambda c: superpose(*c), "components")),
+    "Product": (Product, _children(lambda c: Product(tuple(c)), "children")),
+    "Power": (Power, _fields(
+        power, ("of", _EXPR, "child"), ("shape", _Codec(_parse_shape, list), "shape"))),
+    "For": (ForProduct, _fields(
+        for_product, ("indices", _Codec(lambda v, path: tuple(v), list), "indices"),
+        ("kernel", _KERNEL, "kernel"))),
+    "Bind": (Bind, _fields(bind, ("of", _EXPR, "source"), ("kernel", _KERNEL, "kernel"))),
+    "PointwiseProduct": (PointwiseProduct, _fields(
+        pointwise_product,
+        ("of", _EXPR, "prior"),
+        ("likelihood", _fields(Likelihood, ("kernel", _KERNEL, "kernel"), ("x", _POINT, "x")),
+         "likelihood"))),
+    "Pushforward": (Pushforward, _Codec(
+        _parse_pushforward, lambda m: _AFFINE[m.map.mode.capitalize()].print(m))),
+    "Chain": (Chain, _fields(
+        lambda initial, step: chain(step, initial),
+        ("initial", _EXPR, "initial"), ("step", _KERNEL, "step"))),
+}
+_KINDS = {cls: (kind, codec) for kind, (cls, codec) in _NODES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +318,30 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _probe(expr: MeasureExpr, x, reference):
+    try:
+        return core.log_density(expr, x, wrt=reference)
+    except MeasureError:
+        return None
+
+
 def _detect_region(expr: MeasureExpr, lo: float, hi: float):
+    """Interval or integer range, by the reference the expression relates to.
+
+    The Lebesgue probe comes first.  A -inf there may only mean that the
+    mass lies on integers (an atom plus a count law, say), so the counting
+    probe decides then: a finite count density picks the integer range.
+    """
     probe = (lo + hi) / 2.0
-    try:
-        core.log_density(expr, probe, wrt=LEBESGUE)
-        return verify.Interval(lo, hi)
-    except MeasureError:
-        pass
-    try:
-        core.log_density(expr, int(math.floor(probe)), wrt=COUNTING)
+    line = _probe(expr, probe, LEBESGUE)
+    count = None
+    if line is None or line.is_neg_inf:
+        count = _probe(expr, int(math.floor(probe)), COUNTING)
+    if line is None and count is None:
+        raise ValueError("check supports measures with a scalar Lebesgue or Counting reference")
+    if line is None or (count is not None and count.is_finite):
         return verify.IntegerRange(int(math.ceil(lo)), int(math.floor(hi)))
-    except MeasureError:
-        raise ValueError(
-            "check supports measures with a scalar Lebesgue or Counting reference"
-        ) from None
+    return verify.Interval(lo, hi)
 
 
 def _cmd_check(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import core, rng
@@ -24,8 +25,6 @@ from .core import (
     _log_density,
     _logaddexp,
 )
-
-_LOG_TWO = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -421,62 +420,83 @@ def bind(mu: MeasureExpr, kernel) -> Bind:
 # ---------------------------------------------------------------------------
 
 
+def _logsumexp(values) -> float:
+    """log of the sum of e^v, folded pairwise from the left.
+
+    Two values give exactly `_logaddexp`, so two-component sums keep their
+    bits.
+    """
+    return reduce(_logaddexp, values)
+
+
 @dataclass(frozen=True)
 class Superposition(MeasureExpr):
-    """Sum of two measures (the measure-theoretic mixture).
+    """Sum of two or more measures (the measure-theoretic mixture).
 
-    Against an external target the log-density is the logaddexp of the
-    component log-densities.  Against its own structural base a + b it uses
-    the closed form f/(1 + (da/db)^-1) + g/(da/db + 1), computing da/db once;
-    when the component bases coincide structurally this reduces to
-    (f + g)/2.  At the atom of a spike-and-slab the density wrt Lebesgue is
-    Undefined (neither side locally dominates).
+    Against an external target the log-density is the logsumexp of the
+    component log-densities.  Against its own base, the sum of the component
+    bases b_i, it is logsumexp(f_i + r_i) - logsumexp(r_i), where r_i is the
+    log-density of b_i against a pivot base.  The pivot is one that no base
+    dominates infinitely at the point (the slab, not the atom, off a
+    spike-and-slab's atom), so no inf - inf arises; when the bases coincide
+    this reduces to logsumexp(f_i) - log K.  At the atom of a spike-and-slab
+    the density wrt Lebesgue is Undefined (neither side locally dominates).
     """
 
-    left: MeasureExpr
-    right: MeasureExpr
+    components: Tuple[MeasureExpr, ...]
+
+    def __post_init__(self):
+        # A sum is flat however it was grouped, so a component that is itself
+        # a Superposition contributes its components.
+        flat = []
+        for c in self.components:
+            flat.extend(c.components if isinstance(c, Superposition) else (c,))
+        if len(flat) < 2:
+            raise ValueError("Superposition needs at least two components")
+        object.__setattr__(self, "components", tuple(flat))
 
     @property
     def static_base(self) -> bool:
-        return self.left.static_base and self.right.static_base
+        return all(c.static_base for c in self.components)
 
     def check_point(self, x) -> None:
-        self.left.check_point(x)
-        self.right.check_point(x)
+        for c in self.components:
+            c.check_point(x)
 
     def log_density_at(self, x) -> float:
-        alpha = self.left.base_at(x)
-        beta = self.right.base_at(x)
-        f = self.left.log_density_at(x)
-        g = self.right.log_density_at(x)
-        if alpha == beta:
-            return _logaddexp(f, g) - _LOG_TWO
-        ratio = _log_density(alpha, x, beta)  # computed once, reused
-        if ratio != ratio:
-            return math.nan
-        return _logaddexp(f - _logaddexp(0.0, -ratio), g - _logaddexp(0.0, ratio))
+        bases = [c.base_at(x) for c in self.components]
+        pivot = bases[-1]
+        # A base that dominates the pivot infinitely becomes the pivot.  The
+        # bases that dominate it dominated the old pivot too, so at most K
+        # pivots are tried.  A NaN ratio propagates to the result.
+        for _ in bases:
+            ratios = [
+                0.0 if b is pivot or b == pivot else _log_density(b, x, pivot) for b in bases
+            ]
+            if math.inf not in ratios:
+                terms = [c.log_density_at(x) + r for c, r in zip(self.components, ratios)]
+                return _logsumexp(terms) - _logsumexp(ratios)
+            pivot = bases[ratios.index(math.inf)]
+        return math.nan
 
     def base_at(self, x) -> MeasureExpr:
-        return Superposition(self.left.base_at(x), self.right.base_at(x))
+        return Superposition(tuple(c.base_at(x) for c in self.components))
 
     def _componentwise(self, other, x) -> float:
         parts = []
-        for component in (self.left, self.right):
+        for component in self.components:
             try:
                 parts.append(_log_density(component, x, other))
             except UnrelatedPrimitivesError:
-                parts.append(None)
-        if all(p is None for p in parts):
+                pass
+        if not parts:
             raise UnrelatedPrimitivesError(
                 f"no component of {self!r} is locally expressible against {other!r}"
             )
-        total = -math.inf
-        for p in parts:
-            total = _logaddexp(total, -math.inf if p is None else p)
-        return total
+        return _logsumexp(parts)
 
     def rule_vs(self, other, x) -> Optional[float]:
-        if other == self.base_at(x):
+        if isinstance(other, Superposition) and other == self.base_at(x):
             return self.log_density_at(x)
         return self._componentwise(other, x)
 
@@ -486,35 +506,42 @@ class Superposition(MeasureExpr):
         return -self._componentwise(other, x)
 
     def reference_class(self):
-        left = self.left.reference_class()
-        right = self.right.reference_class()
-        if left is None or right is None or left[0] != right[0]:
+        refs = [c.reference_class() for c in self.components]
+        if None in refs or len({ref[0] for ref in refs}) != 1:
             return None
-        # exp(w1) ref + exp(w2) ref is still a rescaling of the same reference.
-        return (left[0], _logaddexp(left[1], right[1]))
+        # A sum of rescalings of one reference is still a rescaling of it.
+        return (refs[0][0], _logsumexp([ref[1] for ref in refs]))
 
     def log_total_mass(self):
-        lm_left = self.left.log_total_mass()
-        lm_right = self.right.log_total_mass()
-        if lm_left is None or lm_right is None:
-            return None
-        return _logaddexp(lm_left, lm_right)
+        total = -math.inf
+        for c in self.components:
+            lm = c.log_total_mass()
+            if lm is None:
+                return None
+            total = _logaddexp(total, lm)
+        return total
 
     def _sample_normalized(self, seed: int):
-        lm_left = self.left.log_total_mass()
-        lm_right = self.right.log_total_mass()
-        if lm_left is None or lm_right is None:
+        total = self.log_total_mass()
+        if total is None:
             raise NotProbabilityError("superposition component has unknown mass")
-        total = _logaddexp(lm_left, lm_right)
-        p_left = math.exp(lm_left - total)
         u = rng.RandomStream(rng.derive_key(seed, 0)).unit()
-        chosen = self.left if u < p_left else self.right
+        cumulative = 0.0
+        for chosen in self.components[:-1]:
+            cumulative += math.exp(chosen.log_total_mass() - total)
+            if u < cumulative:
+                break
+        else:
+            chosen = self.components[-1]
         return chosen._sample_normalized(rng.derive_key(seed, 1))
 
 
-def superpose(mu: MeasureExpr, nu: MeasureExpr) -> Superposition:
-    """Superposition (sum) of two measures on a common space."""
-    return Superposition(mu, nu)
+def superpose(*measures: MeasureExpr) -> Superposition:
+    """Superposition (sum) of two or more measures on a common space.
+
+    An argument that is itself a Superposition contributes its components.
+    """
+    return Superposition(measures)
 
 
 def scale(logw, mu: MeasureExpr) -> MeasureExpr:

@@ -45,9 +45,10 @@ class Kernel:
 
     Either a registered family name plus per-parameter maps, or an opaque
     function.  Application is deterministic and yields structurally equal
-    measures for equal inputs.  The family factory and the maps are resolved
-    once, at construction; the resolved form takes no part in equality,
-    hashing or repr.
+    measures for equal inputs.  The family, its parameter names and the maps
+    are checked and resolved once, at construction; each application then
+    calls the family's constructor directly.  The resolved form takes no part
+    in equality, hashing or repr.
     """
 
     family: Optional[str] = None
@@ -60,13 +61,15 @@ class Kernel:
             apply = self.fn
         else:
             try:
-                factory = catalog.FAMILIES[self.family]
+                family = catalog.FAMILIES[self.family]
             except KeyError:
                 raise ValueError(f"unknown measure family {self.family!r}") from None
+            family.check(name for name, _ in self.maps)
+            build = family.build
             resolved = tuple((name, resolve_map(spec)) for name, spec in self.maps)
 
             def apply(x):
-                return factory(**{name: f(x) for name, f in resolved})
+                return build(**{name: f(x) for name, f in resolved})
 
         object.__setattr__(self, "_apply", apply)
 
@@ -79,29 +82,9 @@ def make_kernel(family: str, **param_maps) -> Kernel:
 
     Maps may be callables or entries of the closed vocabulary understood by
     `resolve_map`.  The family must be registered and the map names must form
-    a valid parameterization of it.
+    one of its parameterizations.
     """
-    kernel = Kernel(family=family, maps=tuple(sorted(param_maps.items())))
-    _validate_param_names(family, set(param_maps))
-    return kernel
-
-
-_PARAMETERIZATIONS = {
-    "Normal": [{"mu"}, {"sigma"}, {"mu", "sigma"}, set()],
-    "NegativeBinomial": [{"r", "p"}, {"alpha", "beta"}],
-    "Uniform01": [set()],
-    "Bernoulli": [{"p"}, set()],
-    "Poisson": [{"rate"}, set()],
-    "Exponential": [{"rate"}, set()],
-    "Dirac": [{"a"}],
-}
-
-
-def _validate_param_names(family: str, names: set) -> None:
-    if names not in _PARAMETERIZATIONS.get(family, [names]):
-        raise ValueError(
-            "unknown parameterization {%s} for %s" % (",".join(sorted(names)), family)
-        )
+    return Kernel(family=family, maps=tuple(sorted(param_maps.items())))
 
 
 def as_kernel(k) -> Kernel:

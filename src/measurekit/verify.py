@@ -9,7 +9,7 @@ base-weight bookkeeping.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Tuple
 
 from . import core, rng
@@ -150,10 +150,6 @@ def _product_mass(mu: MeasureExpr, region: ProductRegion, tol: float) -> float:
     return level((), region.children, tol)
 
 
-def _overlap(a, b) -> bool:
-    return a.a <= b.b and b.a <= a.b
-
-
 def additivity_check(mu: MeasureExpr, region_a, region_b, tol: float = 1e-9) -> float:
     """Inclusion-exclusion violation |m(A u B) + m(A n B) - m(A) - m(B)|."""
     with warnings.catch_warnings():
@@ -163,30 +159,18 @@ def additivity_check(mu: MeasureExpr, region_a, region_b, tol: float = 1e-9) -> 
 
 
 def _additivity_check(mu: MeasureExpr, region_a, region_b, tol: float) -> float:
-    interval_pair = isinstance(region_a, Interval) and isinstance(region_b, Interval)
-    integer_pair = isinstance(region_a, IntegerRange) and isinstance(region_b, IntegerRange)
-    if not (interval_pair or integer_pair):
+    kind = type(region_a)
+    if kind not in (Interval, IntegerRange) or type(region_b) is not kind:
         raise TypeError("additivity_check supports interval or integer-range pairs")
+    (a_lo, a_hi), (b_lo, b_hi) = astuple(region_a), astuple(region_b)
     ma = mass(mu, region_a, tol)
     mb = mass(mu, region_b, tol)
-    if interval_pair:
-        if _overlap(region_a, region_b):
-            lo, hi = min(region_a.a, region_b.a), max(region_a.b, region_b.b)
-            union = mass(mu, Interval(lo, hi), tol)
-            ilo, ihi = max(region_a.a, region_b.a), min(region_a.b, region_b.b)
-            inter = mass(mu, Interval(ilo, ihi), tol) if ilo < ihi else 0.0
-        else:
-            union = ma + mb
-            inter = 0.0
-        return abs(union + inter - ma - mb)
-    if region_a.lo <= region_b.hi and region_b.lo <= region_a.hi:
-        union = mass(
-            mu,
-            IntegerRange(min(region_a.lo, region_b.lo), max(region_a.hi, region_b.hi)),
-            tol,
-        )
-        ilo, ihi = max(region_a.lo, region_b.lo), min(region_a.hi, region_b.hi)
-        inter = mass(mu, IntegerRange(ilo, ihi), tol) if ilo <= ihi else 0.0
+    if a_lo <= b_hi and b_lo <= a_hi:
+        union = mass(mu, kind(min(a_lo, b_lo), max(a_hi, b_hi)), tol)
+        ilo, ihi = max(a_lo, b_lo), min(a_hi, b_hi)
+        # An Interval needs a < b; an IntegerRange may hold a single integer.
+        nonempty = ilo < ihi if kind is Interval else ilo <= ihi
+        inter = mass(mu, kind(ilo, ihi), tol) if nonempty else 0.0
     else:
         union = ma + mb
         inter = 0.0

@@ -8,6 +8,7 @@ import pytest
 
 import measurekit as mk
 from measurekit import COUNTING, LEBESGUE, Dirac, NotProbabilityError, log_density, sample
+from measurekit.cli import parse_expr, print_expr
 from measurekit.rng import derive_key
 
 from oracles import dec_normal_logpdf, negbinomial_exact_logpmf
@@ -71,6 +72,10 @@ class TestNegativeBinomial:
         with pytest.raises(ValueError, match="unknown parameterization"):
             mk.make_negbinomial(r=10, beta=3)
 
+    def test_repeated_name_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown parameterization \{p,r,r\}"):
+            mk.NegativeBinomial((("p", 0.5), ("r", 3.0), ("r", 4.0)))
+
 
 class TestMakeSimple:
     def test_uniform01_is_unit_restriction_of_lebesgue(self):
@@ -103,6 +108,36 @@ class TestMakeSimple:
             mk.make_simple("Bernoulli", p=1.5)
         with pytest.raises(ValueError):
             mk.make_simple("Nonesuch")
+
+
+# One valid value for every parameter name a registered family uses.
+PARAM_VALUES = {
+    "mu": 0.5, "sigma": 2.0, "p": 0.25, "r": 3.0, "alpha": 2.0, "beta": 1.5, "rate": 1.5, "a": 2.0
+}
+MAKERS = {"Normal": mk.make_normal, "NegativeBinomial": mk.make_negbinomial}
+
+
+@pytest.mark.parametrize("name", sorted(mk.FAMILIES))
+def test_every_path_reads_the_family_declaration(name):
+    for names in mk.FAMILIES[name].parameterizations:
+        params = {n: PARAM_VALUES[n] for n in names}
+        m = mk.make_simple(name, **params)
+        if name in MAKERS:
+            assert MAKERS[name](**params) == m
+        kernel = mk.make_kernel(name, **{n: f"const:{v!r}" for n, v in params.items()})
+        assert kernel(0.0) == m
+        assert parse_expr({name: params}) == m
+        assert parse_expr(print_expr(m)) == m
+    message = rf"unknown parameterization \{{bogus\}} for {name}\b"
+    with pytest.raises(ValueError, match="^" + message):
+        mk.make_simple(name, bogus=1.0)
+    if name in MAKERS:
+        with pytest.raises(ValueError, match="^" + message):
+            MAKERS[name](bogus=1.0)
+    with pytest.raises(ValueError, match="^" + message):
+        mk.make_kernel(name, bogus="identity")
+    with pytest.raises(ValueError, match=rf"^at \$\.{name}: {message}"):
+        parse_expr({name: {"bogus": 1.0}})
 
 
 class TestSupportDiscipline:

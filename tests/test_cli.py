@@ -52,6 +52,13 @@ class TestParse:
         with pytest.raises(ValueError, match="single-key"):
             parse_expr({"Normal": {}, "Poisson": {}})
 
+    @pytest.mark.parametrize(
+        "doc", [{"Pushforward": [1]}, {"Scale": 5}, {"Normal": [1]}, {"Chain": "x"}]
+    )
+    def test_body_of_the_wrong_type_is_a_parse_error(self, doc):
+        with pytest.raises(ValueError, match=r"^at \$\."):
+            parse_expr(doc)
+
 
 def corpus():
     """Fifty expression documents covering every serializable kind."""
@@ -148,6 +155,12 @@ class TestRoundTrip:
         second = parse_expr(printed)
         assert first == second
         assert json.dumps(printed) == json.dumps(print_expr(second))
+
+    def test_base_with_a_nested_sum_round_trips(self):
+        # The base of a scaled mixture is a sum of sums.
+        m = mk.superpose(mk.scale(-1.0, mk.superpose(mk.Normal(1.0), mk.Normal(2.0))), mk.Normal())
+        base = mk.base_measure(m, 0.5)
+        assert parse_expr(print_expr(base)) == base
 
     def test_opaque_kernels_are_not_serializable(self):
         m = mk.bind(mk.make_normal(), lambda x: mk.make_normal(mu=x))
@@ -250,16 +263,36 @@ class TestLogDensityCommand:
         assert separate == joined == "-0.91893853325467267\n"
 
     def test_too_deep_mixture_is_an_error_not_a_traceback(self, tmp_path, capsys):
-        doc = {"Superpose": [
-            {"Scale": {"logw": -math.log(300), "of": {"Normal": {"mu": 0.01 * i}}}}
-            for i in range(300)
-        ]}
-        expr = write_doc(tmp_path, "deep", doc)
+        # Each level is two JSON levels, which the json module still reads;
+        # building the expression then passes the recursion limit.
+        depth = 400
+        text = '{"Power": {"of": ' * depth + '{"Normal": {}}' + ', "shape": [1]}}' * depth
+        expr = tmp_path / "deep.json"
+        expr.write_text(text)
         wrt = write_doc(tmp_path, "leb", {"Lebesgue": {}})
-        code, out, err = run(capsys, ["logdensity", "--expr", expr, "--wrt", wrt, "--at", "0.1"])
+        point = "[" * depth + "0.1" + "]" * depth
+        code, out, err = run(
+            capsys, ["logdensity", "--expr", str(expr), "--wrt", wrt, "--at", point]
+        )
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_wide_mixture_prints_reference_density(self, tmp_path, capsys):
+        k = 300
+        doc = {"Superpose": [
+            {"Scale": {"logw": -math.log(k), "of": {"Normal": {"mu": 0.01 * i}}}}
+            for i in range(k)
+        ]}
+        expr = write_doc(tmp_path, "wide", doc)
+        wrt = write_doc(tmp_path, "leb", {"Lebesgue": {}})
+        code, out, err = run(capsys, ["logdensity", "--expr", expr, "--wrt", wrt, "--at", "0.1"])
+        assert code == 0, err
+        terms = [-math.log(k) - 0.5 * math.log(2 * math.pi) - 0.5 * (0.1 - 0.01 * i) ** 2
+                 for i in range(k)]
+        top = max(terms)
+        reference = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        assert float(out) == pytest.approx(reference, rel=1e-12)
 
 
 class TestSampleCommand:
@@ -370,6 +403,19 @@ class TestCheckCommand:
         code, _, err = run(capsys, ["check", "--expr", expr, "--lo", "-8", "--hi", "8"])
         assert code == 2
         assert "undefined" in err.lower()
+
+    def test_atom_plus_count_law_sums_over_integers(self, tmp_path, capsys):
+        expr = write_doc(
+            tmp_path,
+            "dp",
+            {"Superpose": [
+                {"Scale": {"logw": math.log(0.5), "of": {"Dirac": {"a": 0}}}},
+                {"Scale": {"logw": math.log(0.5), "of": {"Poisson": {"rate": 3.0}}}},
+            ]},
+        )
+        code, out, _ = run(capsys, ["check", "--expr", expr, "--lo", "-0.5", "--hi", "60"])
+        assert code == 0
+        assert out == "mass 1 PASS\n"
 
 
 class TestUsageErrors:

@@ -261,17 +261,63 @@ class TestSuperpose:
         assert log_density(ss, 0.0, wrt=LEBESGUE).is_undefined
 
     def test_against_own_base_consistency(self):
-        m = mk.superpose(mk.make_normal(), mk.Exponential(1.0))
-        for x in (0.2, 1.0, 3.5):
-            own = log_density(m, x)
-            alpha_beta = base_measure(m, x)
-            via_engine = log_density(m, x, wrt=alpha_beta)
-            assert own.value == pytest.approx(via_engine.value, abs=1e-12)
+        mixtures = [
+            mk.superpose(mk.make_normal(), mk.Exponential(1.0)),
+            mk.superpose(
+                mk.make_normal(), mk.Exponential(1.0), scale(LOG_HALF, mk.make_normal(mu=1, sigma=2))
+            ),
+        ]
+        for m in mixtures:
+            for x in (0.2, 1.0, 3.5):
+                own = log_density(m, x)
+                alpha_beta = base_measure(m, x)
+                via_engine = log_density(m, x, wrt=alpha_beta)
+                assert own.value == pytest.approx(via_engine.value, abs=1e-12)
 
     def test_all_components_unrelated_raises(self):
         m = mk.superpose(mk.make_normal(), mk.make_normal(mu=3))
         with pytest.raises(UnrelatedPrimitivesError):
             log_density(m, 0, wrt=COUNTING)
+
+    def test_grouping_gives_one_flat_sum(self):
+        a, b, c = mk.make_normal(), mk.Exponential(1.0), mk.Uniform01()
+        flat = mk.superpose(a, b, c)
+        assert flat.components == (a, b, c)
+        assert mk.superpose(a, mk.superpose(b, c)) == mk.superpose(mk.superpose(a, b), c) == flat
+        assert mk.Superposition((a, mk.Superposition((b, c)))) == flat
+
+    def test_ten_thousand_components(self):
+        rnd = random.Random(10_000)
+        weights = [rnd.random() for _ in range(10_000)]
+        total = math.fsum(weights)
+        parts = [(math.log(w / total), rnd.uniform(-5, 5), rnd.uniform(0.5, 2)) for w in weights]
+        m = mk.superpose(*[scale(lw, mk.Normal(mu, sigma)) for lw, mu, sigma in parts])
+        for x in (-3.0, 0.25, 4.0):
+            terms = [
+                lw - math.log(sigma) - 0.5 * math.log(2 * math.pi) - 0.5 * ((x - mu) / sigma) ** 2
+                for lw, mu, sigma in parts
+            ]
+            top = max(terms)
+            reference = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+            assert log_density(m, x, wrt=LEBESGUE).value == pytest.approx(reference, rel=1e-12)
+        draws = [sample(m, seed) for seed in range(5)]
+        assert all(math.isfinite(d) for d in draws)
+        assert draws == [sample(m, seed) for seed in range(5)]
+
+    def test_two_component_draws_are_pinned(self):
+        # One uniform from derive_key(seed, 0) picks the component, which then
+        # draws from derive_key(seed, 1).
+        ss = mk.superpose(scale(math.log(0.3), Dirac(0.0)), scale(math.log(0.7), mk.Normal(1.0, 2.0)))
+        assert [sample(ss, seed) for seed in range(12)] == [
+            3.939854643471539, -0.5239488713882012, 2.859036945818716, 2.660830311572372,
+            3.2799524409103404, -1.2007342592342245, -0.16151892023515235, 1.4297642837227618,
+            0.0, 0.34096683545320383, 0.0, -0.6237086073413372,
+        ]
+        counts = mk.superpose(
+            scale(math.log(0.6), mk.Poisson(2.0)),
+            scale(math.log(0.4), mk.make_negbinomial(r=3, p=0.25)),
+        )
+        assert [sample(counts, seed) for seed in range(6)] == [17, 1, 2, 9, 15, 6]
 
 
 class TestScale:

@@ -159,7 +159,7 @@ def _expression_depth(m):
     elif isinstance(m, mk.Power):
         children = [m.child]
     elif isinstance(m, mk.Superposition):
-        children = [m.left, m.right]
+        children = list(m.components)
     elif isinstance(m, mk.Pushforward):
         children = [m.inner]
     if not children:
