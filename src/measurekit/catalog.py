@@ -51,8 +51,10 @@ class Normal(MeasureExpr):
     static_base = True
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        if type(self.mu) is not float:
+            object.__setattr__(self, "mu", float(self.mu))
+        if type(self.sigma) is not float:
+            object.__setattr__(self, "sigma", float(self.sigma))
         if not self.sigma > 0.0:
             raise ValueError(f"Normal requires sigma > 0, got {self.sigma}")
 
@@ -69,6 +71,21 @@ class Normal(MeasureExpr):
     def _sample_normalized(self, seed: int):
         stream = rng.RandomStream(seed)
         return self.mu + self.sigma * _standard_normal(stream)
+
+    def _data_block(self, xs) -> float:
+        mu, sigma = self.mu, self.sigma
+        total = 0.0
+        for x in xs:
+            z = (x - mu) / sigma
+            total += -0.5 * z * z
+        return total
+
+    def _sample_block(self, seed: int, n: int) -> list:
+        # `_standard_normal` inlined, on the uniforms of each coordinate's stream.
+        mu, sigma = self.mu, self.sigma
+        sqrt, log, cos, two_pi = math.sqrt, math.log, math.cos, 2.0 * math.pi
+        units = rng.unit_block(seed, n, 2)
+        return [mu + sigma * (sqrt(-2.0 * log(u1)) * cos(two_pi * u2)) for u1, u2 in zip(units, units)]
 
 
 @dataclass(frozen=True)

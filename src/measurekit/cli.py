@@ -330,13 +330,21 @@ def _detect_region(expr: MeasureExpr, lo: float, hi: float):
 
     The Lebesgue probe comes first.  A -inf there may only mean that the
     mass lies on integers (an atom plus a count law, say), so the counting
-    probe decides then: a finite count density picks the integer range.
+    probe decides then: a finite count density picks the integer range.  An
+    undefined one means an atom at the probe, beside integer mass or a
+    continuous slab; only integer mass also shows at the next integer, so
+    two finite count densities pick the integer range.
     """
     probe = (lo + hi) / 2.0
+    k = int(math.floor(probe))
     line = _probe(expr, probe, LEBESGUE)
     count = None
     if line is None or line.is_neg_inf:
-        count = _probe(expr, int(math.floor(probe)), COUNTING)
+        count = _probe(expr, k, COUNTING)
+    elif line.is_undefined:
+        count, beside = _probe(expr, k, COUNTING), _probe(expr, k + 1, COUNTING)
+        if beside is None or not beside.is_finite:
+            count = None
     if line is None and count is None:
         raise ValueError("check supports measures with a scalar Lebesgue or Counting reference")
     if line is None or (count is not None and count.is_finite):

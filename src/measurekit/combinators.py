@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import core, rng
@@ -178,18 +179,17 @@ def _check_shape(x, shape, child: MeasureExpr):
     if not isinstance(x, tuple) or len(x) != shape[0]:
         raise ShapeError(f"expected a tuple of length {shape[0]}, got {x!r}")
     if len(shape) == 1:
-        check = child.check_point
-        for xi in x:
-            check(xi)
+        child._check_block(x)
     else:
         for row in x:
             _check_shape(row, shape[1:], child)
 
 
-def _build_shape(shape, draw):
+def _build_shape(shape, entries):
+    """Nest an iterator of row-major entries into tuples of the given shape."""
     if len(shape) == 1:
-        return tuple(draw() for _ in range(shape[0]))
-    return tuple(_build_shape(shape[1:], draw) for _ in range(shape[0]))
+        return tuple(islice(entries, shape[0]))
+    return tuple(_build_shape(shape[1:], entries) for _ in range(shape[0]))
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,9 @@ class Power(MeasureExpr):
     weighted factors, so the normalization term is evaluated a single time
     regardless of n.  A child whose base ignores the point has its base
     computed once; otherwise each coordinate's base is taken at its entry.
+    Checking, data terms and draws hand the child the whole flat block of
+    coordinates through its block hooks (`MeasureExpr._check_block`,
+    `_data_block`, `_sample_block`).
     """
 
     child: MeasureExpr
@@ -220,11 +223,7 @@ class Power(MeasureExpr):
         _check_shape(x, self.shape, self.child)
 
     def log_density_at(self, x) -> float:
-        data = self.child.log_density_at
-        total = 0.0
-        for xi in _flat(x, self.shape):
-            total += data(xi)
-        return total
+        return self.child._data_block(_flat(x, self.shape))
 
     def base_at(self, x) -> MeasureExpr:
         base = self.child.base_at
@@ -260,12 +259,8 @@ class Power(MeasureExpr):
         return None if lm is None else _shape_size(self.shape) * lm
 
     def _sample_normalized(self, seed: int):
-        counter = iter(range(_shape_size(self.shape)))
-
-        def draw():
-            return self.child._sample_normalized(rng.derive_key(seed, next(counter)))
-
-        return _build_shape(self.shape, draw)
+        block = self.child._sample_block(seed, _shape_size(self.shape))
+        return _build_shape(self.shape, iter(block))
 
 
 def power(mu: MeasureExpr, shape: Sequence[int]) -> Power:
@@ -341,14 +336,31 @@ class ForProduct(LocalProduct):
             factors.append(m)
         return factors
 
-    def log_total_mass(self):
+    def _factors_and_mass(self):
+        """Each index's measure and their summed log mass, left to right.
+
+        Building stops at the first measure of unknown mass; the sum is then
+        None.
+        """
+        factors = []
         total = 0.0
         for i in self.indices:
-            lm = self.kernel(i).log_total_mass()
+            m = self.kernel(i)
+            lm = m.log_total_mass()
             if lm is None:
-                return None
+                return factors, None
             total += lm
-        return total
+            factors.append(m)
+        return factors, total
+
+    def log_total_mass(self):
+        return self._factors_and_mass()[1]
+
+    def _sample(self, seed: int):
+        # `sample` with each index's measure built once: summed, then drawn.
+        factors, total = self._factors_and_mass()
+        core._require_probability(self, total)
+        return tuple(m._sample_normalized(rng.derive_key(seed, j)) for j, m in enumerate(factors))
 
     def _sample_normalized(self, seed: int):
         return tuple(
@@ -405,8 +417,8 @@ class Bind(MeasureExpr):
         return self.source.log_total_mass()
 
     def _sample_normalized(self, seed: int):
-        first = core.sample(self.source, rng.derive_key(seed, 0))
-        second = core.sample(self.kernel(first), rng.derive_key(seed, 1))
+        first = self.source._sample(rng.derive_key(seed, 0))
+        second = self.kernel(first)._sample(rng.derive_key(seed, 1))
         return (first, second)
 
 
@@ -512,23 +524,40 @@ class Superposition(MeasureExpr):
         # A sum of rescalings of one reference is still a rescaling of it.
         return (refs[0][0], _logsumexp([ref[1] for ref in refs]))
 
-    def log_total_mass(self):
-        total = -math.inf
+    def _masses(self):
+        """The components' log masses and their log sum, each mass read once.
+
+        (None, None) when a component's mass is unknown; reading stops there.
+        """
+        masses = []
         for c in self.components:
             lm = c.log_total_mass()
             if lm is None:
-                return None
-            total = _logaddexp(total, lm)
-        return total
+                return None, None
+            masses.append(lm)
+        return masses, _logsumexp(masses)
+
+    def log_total_mass(self):
+        return self._masses()[1]
+
+    def _sample(self, seed: int):
+        # `sample` with each component's mass read once: checked, then picked.
+        masses, total = self._masses()
+        core._require_probability(self, total)
+        return self._pick(masses, total, seed)
 
     def _sample_normalized(self, seed: int):
-        total = self.log_total_mass()
-        if total is None:
+        masses, total = self._masses()
+        if masses is None:
             raise NotProbabilityError("superposition component has unknown mass")
+        return self._pick(masses, total, seed)
+
+    def _pick(self, masses, total, seed):
+        """Draw from the component that one uniform picks by cumulative mass."""
         u = rng.RandomStream(rng.derive_key(seed, 0)).unit()
         cumulative = 0.0
-        for chosen in self.components[:-1]:
-            cumulative += math.exp(chosen.log_total_mass() - total)
+        for chosen, lm in zip(self.components[:-1], masses):
+            cumulative += math.exp(lm - total)
             if u < cumulative:
                 break
         else:

@@ -23,6 +23,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from . import rng
+
 _MAX_CHAIN_STEPS = 10_000
 
 
@@ -246,6 +248,35 @@ class MeasureExpr:
         """Log-density against this measure's own base measure at x."""
         raise NotImplementedError
 
+    # Block hooks: an iid power hands its child a flat block of coordinates
+    # (row-major) in one call.  An override must give exactly the bits and
+    # the errors of the per-coordinate methods.
+
+    def _check_block(self, xs) -> None:
+        """`check_point` on each entry of a flat block, in order."""
+        check = self.check_point
+        if type(self).check_point is MeasureExpr.check_point:
+            # The default check passes plain floats and ints; only others reach it.
+            for x in xs:
+                t = type(x)
+                if t is not float and t is not int:
+                    check(x)
+        else:
+            for x in xs:
+                check(x)
+
+    def _data_block(self, xs) -> float:
+        """Sum of `log_density_at` over a flat block, left to right from 0.0."""
+        data = self.log_density_at
+        total = 0.0
+        for x in xs:
+            total += data(x)
+        return total
+
+    def _sample_block(self, seed: int, n: int) -> list:
+        """Draws for coordinates 0..n-1, coordinate i from `derive_key(seed, i)`."""
+        return [self._sample_normalized(rng.derive_key(seed, i)) for i in range(n)]
+
     def base_at(self, x) -> "MeasureExpr":
         """Base measure near x.  Primitives return themselves."""
         raise NotImplementedError
@@ -294,6 +325,11 @@ class MeasureExpr:
     def log_total_mass(self) -> Optional[float]:
         """Log of the total mass when statically known, else None."""
         return None
+
+    def _sample(self, seed: int):
+        """`sample`: check that the total mass is one, then draw."""
+        _require_probability(self, self.log_total_mass())
+        return self._sample_normalized(seed)
 
     def _sample_normalized(self, seed: int):
         raise NotProbabilityError(f"cannot sample from {type(self).__name__}")
@@ -377,10 +413,13 @@ class Weighted(MeasureExpr):
     static_base = True
 
     def __post_init__(self):
-        w = float(self.logweight)
+        w = self.logweight
+        if type(w) is not float:
+            w = float(w)
         if math.isnan(w) or w == math.inf:
             raise ValueError(f"invalid log weight {self.logweight!r}")
-        object.__setattr__(self, "logweight", w)
+        if w is not self.logweight:
+            object.__setattr__(self, "logweight", w)
 
     def check_point(self, x) -> None:
         self.base.check_point(x)
@@ -550,7 +589,10 @@ def sample(m: MeasureExpr, seed: int):
     The result is a pure function of (m, seed).  Raises NotProbabilityError
     for improper measures (unknown or non-unit total mass).
     """
-    lm = m.log_total_mass()
+    return m._sample(int(seed))
+
+
+def _require_probability(m: MeasureExpr, lm: Optional[float]) -> None:
+    """Raise NotProbabilityError unless the log total mass ``lm`` is 0."""
     if lm is None or not abs(lm) <= 1e-9:
         raise NotProbabilityError(f"not a probability measure: {m!r}")
-    return m._sample_normalized(int(seed))

@@ -161,11 +161,11 @@ class ChainSample:
     seed: int
 
     def __iter__(self):
-        state = core.sample(self.spec.initial, rng.derive_key(self.seed, 0))
+        state = self.spec.initial._sample(rng.derive_key(self.seed, 0))
         yield state
         i = 1
         while True:
-            state = core.sample(self.spec.step(state), rng.derive_key(self.seed, i))
+            state = self.spec.step(state)._sample(rng.derive_key(self.seed, i))
             yield state
             i += 1
 

@@ -5,6 +5,10 @@ keyed by ``k`` is the finalizer applied to ``k + (i + 1) * GOLDEN`` modulo
 2**64.  Every draw is a pure function of (key, counter), so sequences are
 O(1)-seekable, identical across platforms and processes, and never share
 state.  Independent substreams are obtained with `derive_key`.
+
+`unit_block` draws the leading uniforms of many substreams at once, the
+hashes inlined: an iid block of n coordinates takes the first k `unit`
+values of the streams keyed by ``derive_key(key, i)``, i < n, as it goes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,30 @@ def derive_key(key: int, index: int) -> int:
     bind stages, chain elements, repeated CLI draws).
     """
     return mix64(((key & MASK64) ^ mix64(index & MASK64)) + GOLDEN)
+
+
+def unit_block(key: int, n: int, k: int):
+    """Yield ``RandomStream(derive_key(key, i)).unit()`` k times for each i < n.
+
+    Values come stream by stream, in draw order, bit for bit those of the
+    streams themselves; nothing is held beyond the current stream.
+    """
+    mask, mix1, mix2 = MASK64, _MIX1, _MIX2
+    key &= mask
+    steps = [c * GOLDEN for c in range(1, k + 1)]
+    for i in range(n):
+        # s = derive_key(key, i), then mix64(s + c * GOLDEN) for c = 1..k.
+        z = ((i ^ (i >> 30)) * mix1) & mask
+        z = ((z ^ (z >> 27)) * mix2) & mask
+        z = ((key ^ z ^ (z >> 31)) + GOLDEN) & mask
+        z = ((z ^ (z >> 30)) * mix1) & mask
+        z = ((z ^ (z >> 27)) * mix2) & mask
+        s = z ^ (z >> 31)
+        for step in steps:
+            z = (s + step) & mask
+            z = ((z ^ (z >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            yield (((z ^ (z >> 31)) >> 11) + 0.5) * 2.0 ** -53
 
 
 class RandomStream:

@@ -9,7 +9,7 @@ import pytest
 import measurekit as mk
 from measurekit import COUNTING, LEBESGUE, Dirac, NotProbabilityError, log_density, sample
 from measurekit.cli import parse_expr, print_expr
-from measurekit.rng import derive_key
+from measurekit.rng import RandomStream, derive_key, unit_block
 
 from oracles import dec_normal_logpdf, negbinomial_exact_logpmf
 
@@ -32,6 +32,20 @@ class TestMakeNormal:
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown parameterization"):
             mk.make_normal(mu=0, tau=1)
+
+    def test_parameters_are_stored_as_floats(self):
+        for mu, sigma in ((1, True), (True, 2), (0.5, 2), (Fraction(1, 4), 3.0)):
+            m = mk.Normal(mu, sigma)
+            assert (type(m.mu), type(m.sigma)) == (float, float)
+            assert (m.mu, m.sigma) == (float(mu), float(sigma))
+        w = mk.Weighted(True, LEBESGUE)
+        assert type(w.logweight) is float and w.logweight == 1.0
+        with pytest.raises(ValueError, match="got 0.0"):
+            mk.Normal(0.0, False)
+        with pytest.raises(ValueError, match="invalid log weight 'nan'"):
+            mk.Weighted("nan", LEBESGUE)
+        with pytest.raises(ValueError, match="invalid log weight inf"):
+            mk.Weighted(math.inf, LEBESGUE)
 
     def test_defaults(self):
         assert mk.make_normal() == mk.Normal(mu=0.0, sigma=1.0)
@@ -179,6 +193,15 @@ class TestSamplers:
             sample(LEBESGUE, 1)
         with pytest.raises(NotProbabilityError):
             sample(mk.scale(math.log(0.5), mk.make_normal()), 1)
+
+    def test_unit_block_is_the_substreams_leading_uniforms(self):
+        for key in (0, 5, 2**64 + 3, -9):
+            for k in (1, 2, 3):
+                want = []
+                for i in range(40):
+                    stream = RandomStream(derive_key(key, i))
+                    want.extend(stream.unit() for _ in range(k))
+                assert list(unit_block(key, 40, k)) == want
 
     def test_poisson_support_and_type(self):
         draws = [sample(mk.Poisson(2.5), derive_key(7, i)) for i in range(200)]

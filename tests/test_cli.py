@@ -417,6 +417,22 @@ class TestCheckCommand:
         assert code == 0
         assert out == "mass 1 PASS\n"
 
+    def test_atom_plus_count_law_when_the_probe_hits_the_atom(self, tmp_path, capsys):
+        # The Lebesgue probe at 0 is undefined there; the counting probes at
+        # 0 and 1 are both finite, so the sum runs over {-1, 0, 1}.
+        expr = write_doc(
+            tmp_path,
+            "dp",
+            {"Superpose": [
+                {"Scale": {"logw": math.log(0.5), "of": {"Dirac": {"a": 0}}}},
+                {"Scale": {"logw": math.log(0.5), "of": {"Poisson": {"rate": 3.0}}}},
+            ]},
+        )
+        with pytest.warns(UserWarning, match="truncated"):
+            code, out, _ = run(capsys, ["check", "--expr", expr, "--lo", "-1", "--hi", "1"])
+        assert code == 0
+        assert out == f"mass {0.5 + 2.0 * math.exp(-3.0):.12g} FAIL\n"
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self, capsys):

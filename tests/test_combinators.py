@@ -152,6 +152,94 @@ class TestPower:
         )
 
 
+# One measure per catalog family, for the iid block path.
+FAMILY_CHILDREN = (
+    mk.Normal(0.3, 1.7),
+    mk.make_negbinomial(r=3, p=0.4),
+    mk.Uniform01(),
+    mk.Bernoulli(0.3),
+    mk.Poisson(45.0),
+    mk.Exponential(2.0),
+    Dirac(1.5),
+)
+BLOCK_SHAPES = ((1,), (3,), (1000,), (2, 500))
+BLOCK_SEEDS = (0, 7, 2**63 - 5, 2**64 + 11, -3)
+
+
+def _flatten(x, shape):
+    return list(x) if len(shape) == 1 else [xi for row in x for xi in _flatten(row, shape[1:])]
+
+
+def _bits(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestPowerBlocks:
+    """A Power hands its child whole coordinate blocks; bits match the
+    per-coordinate methods."""
+
+    @pytest.mark.parametrize("child", FAMILY_CHILDREN, ids=lambda c: type(c).__name__)
+    def test_draws_match_per_coordinate_draws(self, child):
+        for shape in BLOCK_SHAPES:
+            n = math.prod(shape)
+            for seed in BLOCK_SEEDS:
+                x = sample(mk.power(child, shape), seed)
+                assert len(x) == shape[0]
+                want = [child._sample_normalized(derive_key(seed, i)) for i in range(n)]
+                assert _bits(_flatten(x, shape)) == _bits(want)
+
+    @pytest.mark.parametrize("child", FAMILY_CHILDREN, ids=lambda c: type(c).__name__)
+    def test_densities_are_the_left_to_right_sum(self, child):
+        for shape in BLOCK_SHAPES:
+            m = mk.power(child, shape)
+            x = sample(m, 11)
+            data = 0.0
+            for xi in _flatten(x, shape):
+                data += child.log_density_at(xi)
+            assert repr(log_density(m, x).value) == repr(data)
+            if isinstance(child, Dirac):
+                continue
+            kind = child.base_at(0.5)
+            kind = kind.base if isinstance(kind, mk.Weighted) else kind
+            base = base_measure(m, x)
+            weight = base.logweight if isinstance(base, mk.Weighted) else None
+            got = log_density(m, x, wrt=mk.power(kind, shape)).value
+            assert repr(got) == repr(data if weight is None else data + weight)
+
+    @pytest.mark.parametrize("child", FAMILY_CHILDREN, ids=lambda c: type(c).__name__)
+    @pytest.mark.parametrize("bad", ["a", True, (1.0, 2.0)], ids=["str", "bool", "tuple"])
+    def test_bad_entry_mid_block_raises_the_scalar_error(self, child, bad):
+        name = type(child).__name__
+        point = [0.5] * 1000
+        point[500] = bad
+        for m, x in (
+            (mk.power(child, (1000,)), tuple(point)),
+            (mk.power(child, (2, 500)), (tuple(point[:500]), tuple(point[500:]))),
+        ):
+            with pytest.raises(mk.ShapeError) as err:
+                log_density(m, x)
+            assert str(err.value) == f"{name} expects a scalar point, got {bad!r}"
+
+    def test_integer_and_real_subclass_entries_pass_the_check(self):
+        class Real(float):
+            pass
+
+        m = mk.power(mk.Poisson(3.0), (4,))
+        assert log_density(m, (1, 2, Real(3.0), 0)).value == sum(
+            mk.Poisson(3.0).log_density_at(k) for k in (1, 2, 3, 0)
+        )
+
+    def test_power_of_bind_keeps_its_value(self):
+        coin = mk.bind(
+            mk.Bernoulli(0.5), lambda a: mk.make_normal() if a == 1 else mk.Poisson(2.0)
+        )
+        ref = scale(1.0, mk.Product((
+            mk.Product((COUNTING, COUNTING)), mk.Product((COUNTING, LEBESGUE))
+        )))
+        got = log_density(mk.power(coin, (2,)), ((0, 2), (1, 0.3)), wrt=ref)
+        assert got.value == -4.6570857137646176
+
+
 class TestForProduct:
     def test_kernel_applied_once_per_index(self):
         calls = []
@@ -171,6 +259,24 @@ class TestForProduct:
             for j, y in enumerate(ys)
         )
         assert got.value == pytest.approx(expected, abs=1e-12)
+
+    def test_sampling_applies_the_kernel_once_per_index(self):
+        calls = []
+
+        def kernel(j):
+            calls.append(j)
+            return mk.make_normal(mu=0.01 * j, sigma=2.0)
+
+        draw = sample(mk.for_product(range(100), kernel), 3)
+        assert calls == list(range(100))
+        assert draw == tuple(kernel(j)._sample_normalized(derive_key(3, j)) for j in range(100))
+
+    def test_sampling_refuses_a_kernel_of_non_unit_mass(self):
+        kernel = lambda j: scale(-0.5, mk.make_normal()) if j == 7 else mk.make_normal()
+        with pytest.raises(mk.NotProbabilityError):
+            sample(mk.for_product(range(10), kernel), 3)
+        with pytest.raises(mk.NotProbabilityError):
+            sample(mk.for_product(range(10), lambda j: LEBESGUE if j == 2 else mk.make_normal()), 3)
 
     def test_each_coordinate_at_its_mean(self):
         m = mk.for_product((1, 2, 3), lambda j: mk.make_normal(mu=j, sigma=1))
@@ -303,6 +409,21 @@ class TestSuperpose:
         draws = [sample(m, seed) for seed in range(5)]
         assert all(math.isfinite(d) for d in draws)
         assert draws == [sample(m, seed) for seed in range(5)]
+
+    def test_a_draw_reads_each_component_mass_once(self):
+        reads = []
+
+        class Counted(mk.Normal):
+            def log_total_mass(self):
+                reads.append(self.mu)
+                return 0.0
+
+        m = mk.superpose(*[scale(-math.log(8), Counted(float(j), 1.0)) for j in range(8)])
+        for draw in (m._sample_normalized, lambda seed: sample(m, seed)):
+            for seed in range(5):
+                reads.clear()
+                draw(seed)
+                assert sorted(reads) == [float(j) for j in range(8)]
 
     def test_two_component_draws_are_pinned(self):
         # One uniform from derive_key(seed, 0) picks the component, which then
