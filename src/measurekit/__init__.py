@@ -11,6 +11,7 @@ from .core import (
     COUNTING,
     LEBESGUE,
     Counting,
+    DepthError,
     Dirac,
     Lebesgue,
     LogWeight,

@@ -24,8 +24,11 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _is_count(x) -> bool:
-    """Nonnegative integer-valued scalar."""
-    return _is_scalar(x) and x >= 0 and float(x) == math.floor(x)
+    """Nonnegative integer-valued scalar within the float range."""
+    try:
+        return _is_scalar(x) and x >= 0 and float(x) == math.floor(x)
+    except OverflowError:  # inf, or an int too large for a float
+        return False
 
 
 def log_binomial(n: float, k: float) -> float:
@@ -59,7 +62,10 @@ class Normal(MeasureExpr):
             raise ValueError(f"Normal requires sigma > 0, got {self.sigma}")
 
     def log_density_at(self, x) -> float:
-        z = (x - self.mu) / self.sigma
+        try:
+            z = (x - self.mu) / self.sigma
+        except OverflowError:  # an int beyond the float range rounds to +-inf
+            return -math.inf
         return -0.5 * z * z
 
     def base_at(self, x) -> MeasureExpr:
@@ -75,9 +81,12 @@ class Normal(MeasureExpr):
     def _data_block(self, xs) -> float:
         mu, sigma = self.mu, self.sigma
         total = 0.0
-        for x in xs:
-            z = (x - mu) / sigma
-            total += -0.5 * z * z
+        try:
+            for x in xs:
+                z = (x - mu) / sigma
+                total += -0.5 * z * z
+        except OverflowError:  # an int beyond the float range: see log_density_at
+            return MeasureExpr._data_block(self, xs)
         return total
 
     def _sample_block(self, seed: int, n: int) -> list:
@@ -120,7 +129,10 @@ class Exponential(MeasureExpr):
             raise ValueError(f"Exponential requires rate > 0, got {self.rate}")
 
     def log_density_at(self, x) -> float:
-        return -self.rate * x if x >= 0.0 else -math.inf
+        try:
+            return -self.rate * x if x >= 0.0 else -math.inf
+        except OverflowError:  # an int beyond the float range rounds to inf
+            return -math.inf
 
     def base_at(self, x) -> MeasureExpr:
         return Weighted(math.log(self.rate), LEBESGUE)

@@ -56,6 +56,7 @@ from .core import (
     COUNTING,
     LEBESGUE,
     Counting,
+    DepthError,
     Lebesgue,
     LogWeight,
     MeasureError,
@@ -321,6 +322,8 @@ def _cmd_sample(args) -> int:
 def _probe(expr: MeasureExpr, x, reference):
     try:
         return core.log_density(expr, x, wrt=reference)
+    except DepthError:
+        raise  # the expression, not the reference, is at fault
     except MeasureError:
         return None
 

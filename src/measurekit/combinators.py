@@ -42,28 +42,48 @@ class Product(MeasureExpr):
     def __post_init__(self):
         if len(self.children) < 2:
             raise ValueError("Product needs at least two factors")
+        if any(child.self_checking for child in self.children):
+            # Such a child checks its entry as it is evaluated; a separate
+            # check would apply its kernels twice.
+            object.__setattr__(self, "self_checking", True)
 
     @property
     def static_base(self) -> bool:
         return all(child.static_base for child in self.children)
 
-    def check_point(self, x) -> None:
+    def _check_length(self, x) -> None:
         if not isinstance(x, tuple) or len(x) != len(self.children):
             raise ShapeError(
                 f"Product of {len(self.children)} factors expects a "
                 f"{len(self.children)}-tuple, got {x!r}"
             )
+
+    def check_point(self, x) -> None:
+        self._check_length(x)
         for child, xi in zip(self.children, x):
             child.check_point(xi)
 
+    def _check_unchecked(self, x) -> None:
+        """On a self-checking product: the checks its children's evaluation skips."""
+        self._check_length(x)
+        for child, xi in zip(self.children, x):
+            if not child.self_checking:
+                child.check_point(xi)
+
     def log_density_at(self, x) -> float:
+        if self.self_checking:
+            self._check_unchecked(x)
         total = 0.0
         for child, xi in zip(self.children, x):
             total += child.log_density_at(xi)
         return total
 
     def base_at(self, x) -> MeasureExpr:
+        if self.self_checking:
+            self._check_unchecked(x)
         return Product(tuple(c.base_at(xi) for c, xi in zip(self.children, x)))
+
+    # The rules evaluate each coordinate through `_log_density`, which checks it.
 
     def rule_vs(self, other, x) -> Optional[float]:
         # d(mu1 x mu2)/d(nu1 x nu2) factors coordinatewise.
@@ -73,6 +93,8 @@ class Product(MeasureExpr):
             targets = (other.child,) * len(self.children)
         else:
             return None
+        if self.self_checking:
+            self._check_length(x)
         total = 0.0
         for child, target, xi in zip(self.children, targets, x):
             total += _log_density(child, xi, target)
@@ -80,6 +102,8 @@ class Product(MeasureExpr):
 
     def rule_as_target(self, other, x) -> Optional[float]:
         if isinstance(other, Power) and other.shape == (len(self.children),):
+            if self.self_checking:
+                self._check_length(x)
             total = 0.0
             for child, xi in zip(self.children, x):
                 total += _log_density(other.child, xi, child)
@@ -175,11 +199,14 @@ def _flat(x, shape):
     return [xi for row in x for xi in _flat(row, shape[1:])]
 
 
-def _check_shape(x, shape, child: MeasureExpr):
+def _check_shape(x, shape, child: Optional[MeasureExpr]):
+    """Check that x nests tuples as ``shape``, and its entries against ``child``
+    unless that is None."""
     if not isinstance(x, tuple) or len(x) != shape[0]:
         raise ShapeError(f"expected a tuple of length {shape[0]}, got {x!r}")
     if len(shape) == 1:
-        child._check_block(x)
+        if child is not None:
+            child._check_block(x)
     else:
         for row in x:
             _check_shape(row, shape[1:], child)
@@ -203,7 +230,8 @@ class Power(MeasureExpr):
     computed once; otherwise each coordinate's base is taken at its entry.
     Checking, data terms and draws hand the child the whole flat block of
     coordinates through its block hooks (`MeasureExpr._check_block`,
-    `_data_block`, `_sample_block`).
+    `_data_block`, `_sample_block`).  A power of a self-checking child is
+    self-checking: it checks only the nesting, and the child its entries.
     """
 
     child: MeasureExpr
@@ -214,6 +242,8 @@ class Power(MeasureExpr):
             raise ValueError("Power needs a nonempty shape")
         if any(not isinstance(s, int) or s < 1 for s in self.shape):
             raise ValueError(f"invalid power shape {self.shape!r}")
+        if self.child.self_checking:
+            object.__setattr__(self, "self_checking", True)
 
     @property
     def static_base(self) -> bool:
@@ -223,9 +253,13 @@ class Power(MeasureExpr):
         _check_shape(x, self.shape, self.child)
 
     def log_density_at(self, x) -> float:
+        if self.self_checking:
+            _check_shape(x, self.shape, None)
         return self.child._data_block(_flat(x, self.shape))
 
     def base_at(self, x) -> MeasureExpr:
+        if self.self_checking:
+            _check_shape(x, self.shape, None)
         base = self.child.base_at
         if self.child.static_base:
             first = x
@@ -475,8 +509,21 @@ class Superposition(MeasureExpr):
         for c in self.components:
             c.check_point(x)
 
+    #: The components' bases, kept on first use when none depends on the
+    #: point, so later calls walk between the same nodes and replay their
+    #: plans.  An instance attribute, not a field: `==` and `repr` skip it.
+    _kept_bases = None
+
+    def _bases(self, x):
+        bases = self._kept_bases
+        if bases is None:
+            bases = tuple(c.base_at(x) for c in self.components)
+            if self.static_base:
+                object.__setattr__(self, "_kept_bases", bases)
+        return bases
+
     def log_density_at(self, x) -> float:
-        bases = [c.base_at(x) for c in self.components]
+        bases = self._bases(x)
         pivot = bases[-1]
         # A base that dominates the pivot infinitely becomes the pivot.  The
         # bases that dominate it dominated the old pivot too, so at most K
@@ -492,7 +539,7 @@ class Superposition(MeasureExpr):
         return math.nan
 
     def base_at(self, x) -> MeasureExpr:
-        return Superposition(tuple(c.base_at(x) for c in self.components))
+        return Superposition(self._bases(x))
 
     def _componentwise(self, other, x) -> float:
         parts = []

@@ -26,6 +26,7 @@ from typing import Any, Optional, Tuple
 from . import rng
 
 _MAX_CHAIN_STEPS = 10_000
+_PLAN_SLOTS = 4
 
 
 class MeasureError(Exception):
@@ -46,6 +47,13 @@ class NotProbabilityError(MeasureError):
 
 class UndefinedDensityError(MeasureError):
     """A computation required a density where none is defined."""
+
+
+class DepthError(MeasureError):
+    """An expression is nested too deeply for the interpreter's call stack."""
+
+
+_TOO_DEEP = "expression nested too deeply to evaluate"
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +236,22 @@ class MeasureExpr:
     Log-densities returned by nodes are floats: -inf and +inf for
     non-domination, NaN for undefined.  Evaluation methods may assume a point
     that passed `check_point`, except on nodes that set ``self_checking``.
+
+    A ``static_base`` node must decide by its structure alone, never by the
+    point, whether it equals another node and whether each of its rule hooks
+    fires, and it keeps the default `unfold`.  The engine relies on this: it
+    walks a pair of static-base measures with `_recurse`, the reference
+    walk, and on the second call memoises the walk's plan on the source node
+    (``_plans``, an instance attribute that is no dataclass field), so later
+    points only re-run the recorded data terms and the rule that ended the
+    walk.  A walk that reaches a node whose base depends on the point keeps
+    no plan.
     """
+
+    #: Walk plans of this node as a source, newest first: up to _PLAN_SLOTS
+    #: (target, plan) pairs, looked up by the target's identity; the plan is
+    #: None for a target met once.
+    _plans = ()
 
     #: True when `base_at` ignores the point, so one base serves every point.
     static_base = False
@@ -450,10 +473,16 @@ def is_primitive(m: MeasureExpr) -> bool:
 
 
 def base_measure(m: MeasureExpr, x) -> MeasureExpr:
-    """Base measure of m near x; primitives are their own base measure."""
-    if not m.self_checking:
-        m.check_point(x)
-    return m.base_at(x)
+    """Base measure of m near x; primitives are their own base measure.
+
+    Raises DepthError when m is nested too deeply to evaluate.
+    """
+    try:
+        if not m.self_checking:
+            m.check_point(x)
+        return m.base_at(x)
+    except RecursionError:
+        raise DepthError(_TOO_DEEP) from None
 
 
 def log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> LogWeight:
@@ -464,45 +493,86 @@ def log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> LogWeig
     d(m)/d(wrt) near x, computed by density recursion.
 
     Raises UnrelatedPrimitivesError when the recursion bottoms out at two
-    distinct primitive measures with no rule (e.g. Lebesgue vs Counting).
+    distinct primitive measures with no rule (e.g. Lebesgue vs Counting),
+    and DepthError when m or wrt is nested too deeply to evaluate.
     """
-    return LogWeight(_log_density(m, x, wrt))
+    try:
+        return LogWeight(_log_density(m, x, wrt))
+    except RecursionError:
+        raise DepthError(_TOO_DEEP) from None
 
 
 def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
-    """`log_density` as an engine float (NaN for undefined)."""
+    """`log_density` as an engine float (NaN for undefined).
+
+    Between two static-base measures every call walks with `_recurse` until
+    the second call against the same ``wrt`` object, which keeps the walk's
+    plan on ``m``; later calls replay it.  The first call only notes ``wrt``,
+    so a pair that meets once (nodes built per call, or more targets in turn
+    than the memo holds) pays for no plan.
+    """
     if not m.self_checking:
         m.check_point(x)
     if wrt is None:
         return m.log_density_at(x)
     if not wrt.self_checking:
         wrt.check_point(x)
-    return _recurse(m, wrt, x)
+    seen = False
+    for target, plan in m._plans:
+        if target is wrt:
+            if plan is not None:
+                return _replay(plan, m, x)
+            seen = True
+            break
+    if not (m.static_base and wrt.static_base) or m.self_checking or wrt.self_checking:
+        return _recurse(m, wrt, x)
+    # Each memo update is one tuple swap, so a concurrent reader sees the old
+    # or the new memo.
+    if not seen:
+        object.__setattr__(m, "_plans", ((wrt, None),) + m._plans[: _PLAN_SLOTS - 1])
+        return _recurse(m, wrt, x)
+    plan = []
+    try:
+        return _recurse(m, wrt, x, plan)
+    finally:
+        if plan:
+            kept = tuple(entry for entry in m._plans if entry[0] is not wrt)
+            object.__setattr__(m, "_plans", ((wrt, plan[0]),) + kept[: _PLAN_SLOTS - 1])
 
 
-def _recurse(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
+def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -> float:
     # The source-chain and target-chain sums are accumulated separately and
     # combined once, so swapping the arguments negates the result bitwise.
     # The source side is stepped first and its chain is kept: the target
     # side stops at the first node of it that it reaches, which is where the
     # swapped walk stops too.  So when one measure lies on the other's base
     # chain, only the other side is stepped, in either argument order.
+    # A walk that ends other than by a NaN exit appends its plan to ``plan``.
     top_mu, top_nu = mu, nu
-    # Self-checking sides are validated by their first unfold, or else on exit.
+    # Self-checking sides are validated by their first unfold or by a rule
+    # that fires (rules evaluate through validating calls), else on exit.
     mu_pending, nu_pending = mu.self_checking, nu.self_checking
     nodes = []  # mu's base chain ...
     sums = []  # ... and the source sum on reaching each of its nodes
+    targets = []  # nu's nodes that were stepped
     num = den = 0.0
+    end = None  # how the walk ended: a meeting node's index, or (f, a, b)
     try:
         for _ in range(_MAX_CHAIN_STEPS):
             if mu is nu or mu == nu:
                 if mu is top_mu:
                     nu_pending = False  # equal measures share one check
+                end = len(nodes)
                 return (num - den) + 0.0
             rule = mu.rule_vs(nu, x)
-            if rule is None:
-                rule = nu.rule_as_target(mu, x)
             if rule is not None:
+                end = (type(mu).rule_vs, mu, nu)
+            else:
+                rule = nu.rule_as_target(mu, x)
+                if rule is not None:
+                    end = (type(nu).rule_as_target, nu, mu)
+            if rule is not None:
+                mu_pending = nu_pending = False
                 return (num - den) + rule
             nodes.append(mu)
             sums.append(num)
@@ -520,23 +590,25 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
             step = nu.unfold(x)
             nu_pending = False
             if step is None:
-                rule = _fixed_point_rule(mu, nu, x)
-                if rule is None:
-                    raise UnrelatedPrimitivesError(
-                        f"unrelated primitive measures: {mu!r} vs {nu!r}"
-                    )
-                return (num - den) + rule
+                end = (_fixed_point_rule, mu, nu)
+                return (num - den) + _fixed_point_rule(mu, nu, x)
+            targets.append(nu)
             den += step[0]
             nu = step[1]
             if den != den or (num == -math.inf and den == -math.inf):
                 # Undefined, or both measures vanish locally: neither dominates.
                 return math.nan
-            for node, source_sum in zip(nodes, sums):
+            for i, (node, source_sum) in enumerate(zip(nodes, sums)):
                 if node is nu or node == nu:
+                    end = i
                     return (source_sum - den) + 0.0
             rule = mu.rule_vs(nu, x)
-            if rule is None:
+            if rule is not None:
+                end = (type(mu).rule_vs, mu, nu)
+            else:
                 rule = nu.rule_as_target(mu, x)
+                if rule is not None:
+                    end = (type(nu).rule_as_target, nu, mu)
             if rule is not None:
                 return (num - den) + rule
         raise RuntimeError("base-measure recursion did not terminate")
@@ -545,51 +617,102 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
             top_mu.check_point(x)
         if nu_pending:
             top_nu.check_point(x)
+        # A static-base wrapper (`Weighted`, say) may wrap a measure whose
+        # base depends on the point, so every node the walk reached counts.
+        if (plan is not None and end is not None
+                and all(n.static_base for n in (*nodes, *targets, mu, nu))):
+            # After a source fixed point, the last node of `nodes` (mu) was
+            # not stepped; an unfolded node is never its own base.
+            if nodes and nodes[-1] is mu:
+                del nodes[-1]
+            # The plan is kept on top_mu, so it names top_mu as None (see
+            # `_replay`) rather than hold its own node in a reference cycle.
+            if nodes:
+                nodes[0] = None
+            if type(end) is int:
+                cut, f, a, b = end, None, None, None
+            else:
+                cut, (f, a, b) = len(nodes), end
+            plan.append((nodes[:cut], nodes[cut:], targets, f,
+                         None if a is top_mu else a, None if b is top_mu else b))
 
 
-def _fixed_point_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> Optional[float]:
-    """Density between two base-chain fixed points, or None when unrelated.
+def _replay(plan, mu, x) -> float:
+    """`_recurse` at x by a walk plan it recorded from mu at another point.
 
-    Structural equality was already ruled out by the caller.
+    The same data terms are summed in the same order as the walk sums them,
+    with the same NaN exits, then the meeting or the rule that ended the
+    walk is applied again; so the value, and any error, is the walk's.  The
+    plan names mu as None.
+    """
+    head, tail, targets, end, a, b = plan
+    num = 0.0
+    for node in head:
+        num += (mu if node is None else node).log_density_at(x)
+        if num != num:
+            return num
+    meet = num  # the source sum on reaching the meeting node
+    for node in tail:
+        num += (mu if node is None else node).log_density_at(x)
+        if num != num:
+            return num
+    den = 0.0
+    for node in targets:
+        den += node.log_density_at(x)
+        if den != den or (num == -math.inf and den == -math.inf):
+            return math.nan
+    if end is None:
+        return (meet - den) + 0.0
+    return (num - den) + end(mu if a is None else a, mu if b is None else b, x)
+
+
+def _fixed_point_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
+    """Density between two base-chain fixed points.
+
+    Structural equality was already ruled out by the caller.  Raises
+    UnrelatedPrimitivesError when the two are unrelated.
     """
     if isinstance(mu, Dirac) and isinstance(nu, Dirac):
         # Distinct atoms: neither measure dominates the other anywhere.
         return math.nan
     if isinstance(mu, Dirac):
         ref = nu.reference_class()
-        if ref is None:
-            return None
-        if ref[0] == "counting":
-            return -ref[1] if x == mu.atom else -math.inf
-        return math.nan if x == mu.atom else -math.inf
-    if isinstance(nu, Dirac):
+        if ref is not None:
+            if ref[0] == "counting":
+                return -ref[1] if x == mu.atom else -math.inf
+            return math.nan if x == mu.atom else -math.inf
+    elif isinstance(nu, Dirac):
         ref = mu.reference_class()
-        if ref is None:
-            return None
-        if ref[0] == "counting":
-            return ref[1] if x == nu.atom else math.inf
-        return math.nan if x == nu.atom else math.inf
-    mu_ref = mu.reference_class()
-    nu_ref = nu.reference_class()
-    if mu_ref is not None and nu_ref is not None and mu_ref[0] == nu_ref[0]:
-        # Both sides are rescalings of the same primitive reference.
-        return mu_ref[1] - nu_ref[1]
-    rule = mu.fixed_pair_rule(nu, x)
-    if rule is not None:
-        return rule
-    rule = nu.fixed_pair_rule(mu, x)
-    if rule is not None:
-        return -rule
-    return None
+        if ref is not None:
+            if ref[0] == "counting":
+                return ref[1] if x == nu.atom else math.inf
+            return math.nan if x == nu.atom else math.inf
+    else:
+        mu_ref = mu.reference_class()
+        nu_ref = nu.reference_class()
+        if mu_ref is not None and nu_ref is not None and mu_ref[0] == nu_ref[0]:
+            # Both sides are rescalings of the same primitive reference.
+            return mu_ref[1] - nu_ref[1]
+        rule = mu.fixed_pair_rule(nu, x)
+        if rule is not None:
+            return rule
+        rule = nu.fixed_pair_rule(mu, x)
+        if rule is not None:
+            return -rule
+    raise UnrelatedPrimitivesError(f"unrelated primitive measures: {mu!r} vs {nu!r}")
 
 
 def sample(m: MeasureExpr, seed: int):
     """Deterministic draw from a probability measure.
 
     The result is a pure function of (m, seed).  Raises NotProbabilityError
-    for improper measures (unknown or non-unit total mass).
+    for improper measures (unknown or non-unit total mass), and DepthError
+    when m is nested too deeply to evaluate.
     """
-    return m._sample(int(seed))
+    try:
+        return m._sample(int(seed))
+    except RecursionError:
+        raise DepthError(_TOO_DEEP) from None
 
 
 def _require_probability(m: MeasureExpr, lm: Optional[float]) -> None:

@@ -170,6 +170,28 @@ class TestSupportDiscipline:
     def test_outside_support_is_neg_inf_not_error(self, m, x):
         assert log_density(m, x).is_neg_inf
 
+    @pytest.mark.parametrize(
+        "m, wrt",
+        [
+            (mk.Poisson(3.0), None),
+            (mk.Poisson(3.0), mk.COUNTING),
+            (mk.make_negbinomial(r=2, p=0.5), mk.COUNTING),
+            (mk.make_normal(), mk.LEBESGUE),
+            (mk.Exponential(1.0), None),
+            (mk.Exponential(1.0), mk.LEBESGUE),
+        ],
+    )
+    def test_int_beyond_the_float_range_is_neg_inf_not_error(self, m, wrt):
+        # Such an int evaluates as the float it rounds to, +-inf.
+        assert log_density(m, 10**400, wrt=wrt).is_neg_inf
+        assert log_density(m, math.inf, wrt=wrt).is_neg_inf
+
+    def test_power_of_normal_with_a_huge_int_entry(self):
+        m = mk.power(mk.make_normal(), (3,))
+        x = (0.5, -10**400, 1)
+        assert log_density(m, x).is_neg_inf
+        assert log_density(m, x, wrt=mk.power(mk.LEBESGUE, (3,))).is_neg_inf
+
 
 class TestSamplers:
     def test_dirac_atom(self):

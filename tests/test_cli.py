@@ -373,6 +373,19 @@ class TestCheckCommand:
         assert out.endswith("FAIL\n")
         assert out.startswith("mass 0.5")
 
+    def test_too_deep_pushforward_is_a_depth_error(self, tmp_path, capsys, monkeypatch):
+        # A nest that loads but is too deep to evaluate: the probes must not
+        # read the depth error as "no density against this reference".
+        deep = mk.Normal()
+        for _ in range(2000):
+            deep = mk.Pushforward(mk.forward_map(1.0, 0.0), deep)
+        monkeypatch.setattr("measurekit.cli._load_expr", lambda path: deep)
+        expr = write_doc(tmp_path, "n", {"Normal": {}})
+        code, out, err = run(capsys, ["check", "--expr", expr, "--lo", "-8", "--hi", "8"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: expression nested too deeply to evaluate\n"
+
     def test_uniform01_passes(self, tmp_path, capsys):
         expr = write_doc(tmp_path, "u", {"Uniform01": {}})
         code, out, _ = run(capsys, ["check", "--expr", expr, "--lo", "0", "--hi", "1"])

@@ -316,6 +316,26 @@ class TestShapeChecks:
         assert log_density(m, (0, 1.0)) == -0.5
 
 
+class TestDepth:
+    @staticmethod
+    def nests():
+        pushed = mk.make_normal()
+        for _ in range(2000):
+            pushed = mk.Pushforward(mk.forward_map(1.0, 0.0), pushed)
+        paired, x = mk.make_normal(), 0.1
+        for _ in range(1500):
+            paired, x = mk.product(paired, mk.make_normal()), (x, 0.1)
+        return [(pushed, 0.1), (paired, x)]
+
+    def test_too_deep_is_a_measure_error_at_the_public_boundary(self):
+        for m, x in self.nests():
+            for call in (lambda: log_density(m, x), lambda: log_density(m, x, wrt=LEBESGUE),
+                         lambda: mk.sample(m, 1), lambda: base_measure(m, x)):
+                with pytest.raises(mk.DepthError, match="nested too deeply"):
+                    call()
+            assert issubclass(mk.DepthError, mk.MeasureError)
+
+
 class TestSpecialValuesAtTheBoundary:
     def test_engine_results_come_out_as_log_weight_constants(self):
         undefined = log_density(Dirac(0), 0, wrt=Dirac(1))

@@ -182,6 +182,37 @@ class TestOnePassPerElement:
         log_density(walk, xs, wrt=mk.power(LEBESGUE, (n,)))
         assert len(calls) == n - 1
 
+    def test_kernel_inside_product_or_power_applied_once_per_step(self):
+        walk, calls = self.counting_walk()
+        xs = tuple(0.01 * i for i in range(100))
+        pair = mk.product(walk, mk.Normal())
+        for wrt in (None, mk.product(mk.power(LEBESGUE, (100,)), LEBESGUE)):
+            calls.clear()
+            log_density(pair, (xs, 0.5), wrt=wrt)
+            assert len(calls) == 99
+        rows = mk.power(walk, (3,))
+        for wrt, applications in ((None, 297), (mk.power(mk.power(LEBESGUE, (100,)), (3,)), 594)):
+            calls.clear()
+            log_density(rows, (xs, xs, xs), wrt=wrt)
+            assert len(calls) == applications
+
+    def test_parents_of_kernel_nodes_keep_their_shape_errors(self):
+        walk, _ = self.counting_walk()
+        xs = (0.1, 0.2)
+        pair, rows = mk.product(walk, mk.Normal()), mk.power(walk, (2,))
+        cases = [
+            (pair, (xs, 0.5, 0.5), "Product of 2 factors expects a 2-tuple"),
+            (pair, (xs, "a"), "Normal expects a scalar point"),
+            (pair, ((), 0.5), "Chain expects a nonempty finite prefix"),
+            (rows, (xs,), "expected a tuple of length 2"),
+            (rows, (xs, "ab"), "Chain expects a nonempty finite prefix"),
+        ]
+        for m, x, message in cases:
+            for call in (lambda: log_density(m, x), lambda: log_density(m, x, wrt=m),
+                         lambda: mk.base_measure(m, x)):
+                with pytest.raises(mk.ShapeError, match=message):
+                    call()
+
     def test_weight_evaluations_do_not_grow_with_length(self):
         walk = chain(make_kernel("Normal", mu="identity", sigma="const:0.5"), mk.Normal(0.0, 2.0))
         counts = []
