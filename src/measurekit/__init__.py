@@ -31,6 +31,7 @@ from .core import (
     log_density,
     logaddexp,
     reset_weight_evaluations,
+    root_measure,
     sample,
     weight_evaluations,
 )

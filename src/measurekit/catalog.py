@@ -41,8 +41,17 @@ def log_binomial(n: float, k: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Law(MeasureExpr):
+    """A catalog family's measure: unit mass, on a base that ignores the point."""
+
+    static_base = True
+
+    def log_total_mass(self):
+        return 0.0
+
+
 @dataclass(frozen=True)
-class Normal(MeasureExpr):
+class Normal(_Law):
     """Gaussian with mean ``mu`` and scale ``sigma``.
 
     Data term: -((x - mu)/sigma)^2 / 2.  Base: Weighted(-log sigma -
@@ -51,7 +60,6 @@ class Normal(MeasureExpr):
 
     mu: float = 0.0
     sigma: float = 1.0
-    static_base = True
 
     def __post_init__(self):
         if type(self.mu) is not float:
@@ -70,9 +78,6 @@ class Normal(MeasureExpr):
 
     def base_at(self, x) -> MeasureExpr:
         return Weighted(-math.log(self.sigma) - _HALF_LOG_TWO_PI, LEBESGUE)
-
-    def log_total_mass(self):
-        return 0.0
 
     def _sample_normalized(self, seed: int):
         stream = rng.RandomStream(seed)
@@ -98,10 +103,8 @@ class Normal(MeasureExpr):
 
 
 @dataclass(frozen=True)
-class Uniform01(MeasureExpr):
+class Uniform01(_Law):
     """Restriction of Lebesgue measure to [0, 1]."""
-
-    static_base = True
 
     def log_density_at(self, x) -> float:
         return 0.0 if 0.0 <= x <= 1.0 else -math.inf
@@ -109,19 +112,15 @@ class Uniform01(MeasureExpr):
     def base_at(self, x) -> MeasureExpr:
         return LEBESGUE
 
-    def log_total_mass(self):
-        return 0.0
-
     def _sample_normalized(self, seed: int):
         return rng.RandomStream(seed).unit()
 
 
 @dataclass(frozen=True)
-class Exponential(MeasureExpr):
+class Exponential(_Law):
     """Exponential with rate parameter; density rate * exp(-rate x) on x >= 0."""
 
     rate: float = 1.0
-    static_base = True
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
@@ -137,19 +136,15 @@ class Exponential(MeasureExpr):
     def base_at(self, x) -> MeasureExpr:
         return Weighted(math.log(self.rate), LEBESGUE)
 
-    def log_total_mass(self):
-        return 0.0
-
     def _sample_normalized(self, seed: int):
         return -math.log(rng.RandomStream(seed).unit()) / self.rate
 
 
 @dataclass(frozen=True)
-class Bernoulli(MeasureExpr):
+class Bernoulli(_Law):
     """Coin flip on {0, 1} over counting measure."""
 
     p: float = 0.5
-    static_base = True
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
@@ -166,19 +161,15 @@ class Bernoulli(MeasureExpr):
     def base_at(self, x) -> MeasureExpr:
         return COUNTING
 
-    def log_total_mass(self):
-        return 0.0
-
     def _sample_normalized(self, seed: int):
         return 1 if rng.RandomStream(seed).unit() < self.p else 0
 
 
 @dataclass(frozen=True)
-class Poisson(MeasureExpr):
+class Poisson(_Law):
     """Poisson counts with the given rate, over counting measure."""
 
     rate: float = 1.0
-    static_base = True
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
@@ -194,15 +185,12 @@ class Poisson(MeasureExpr):
     def base_at(self, x) -> MeasureExpr:
         return COUNTING
 
-    def log_total_mass(self):
-        return 0.0
-
     def _sample_normalized(self, seed: int):
         return _poisson_draw(rng.RandomStream(seed), self.rate)
 
 
 @dataclass(frozen=True)
-class NegativeBinomial(MeasureExpr):
+class NegativeBinomial(_Law):
     """Negative binomial on the nonnegative integers, over counting measure.
 
     Two parameterizations coexist and are kept exactly as constructed:
@@ -216,7 +204,6 @@ class NegativeBinomial(MeasureExpr):
     """
 
     params: tuple
-    static_base = True
 
     def __post_init__(self):
         FAMILIES["NegativeBinomial"].check(name for name, _ in self.params)
@@ -246,9 +233,6 @@ class NegativeBinomial(MeasureExpr):
 
     def base_at(self, x) -> MeasureExpr:
         return COUNTING
-
-    def log_total_mass(self):
-        return 0.0
 
     def _sample_normalized(self, seed: int):
         (first, a), (_, b) = self.params

@@ -15,9 +15,11 @@ is declared once, in ``_NODES``: its node class and the codec of its body,
 which both `parse_expr` and `print_expr` read; the catalog families' entries
 come from `catalog.FAMILIES`.
 
-Subcommands: ``logdensity``, ``sample``, ``check``.  ``check`` sums over the
-integers when the measure relates to counting measure and integrates
-otherwise.  Exit codes: 0 success, 1 usage/parse/shape errors and expressions
+Subcommands: ``logdensity``, ``sample``, ``check``.  ``check`` reads the root
+of the measure's base chain (`core.root_measure`) at the middle of the range,
+evaluating no density: it integrates when a part of the root is Lebesgue, and
+sums over the integers when every part is counting measure or an atom at an
+integer.  Exit codes: 0 success, 1 usage/parse/shape errors and expressions
 nested too deeply to evaluate, 2 measure-theoretic failures (unrelated
 primitive measures, undefined density).
 """
@@ -56,11 +58,12 @@ from .core import (
     COUNTING,
     LEBESGUE,
     Counting,
-    DepthError,
+    Dirac,
     Lebesgue,
     LogWeight,
     MeasureError,
     MeasureExpr,
+    ShapeError,
     UndefinedDensityError,
     UnrelatedPrimitivesError,
     Weighted,
@@ -319,45 +322,34 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _probe(expr: MeasureExpr, x, reference):
-    try:
-        return core.log_density(expr, x, wrt=reference)
-    except DepthError:
-        raise  # the expression, not the reference, is at fault
-    except MeasureError:
-        return None
+def _region(expr: MeasureExpr, lo: float, hi: float):
+    """Interval or integer range, by the parts of the root of expr's base chain.
 
-
-def _detect_region(expr: MeasureExpr, lo: float, hi: float):
-    """Interval or integer range, by the reference the expression relates to.
-
-    The Lebesgue probe comes first.  A -inf there may only mean that the
-    mass lies on integers (an atom plus a count law, say), so the counting
-    probe decides then: a finite count density picks the integer range.  An
-    undefined one means an atom at the probe, beside integer mass or a
-    continuous slab; only integer mass also shows at the next integer, so
-    two finite count densities pick the integer range.
+    A scalar measure's root is the same at every point, so the midpoint
+    stands for the range.  A Lebesgue part needs the interval; counting parts
+    and atoms at integers need only the integers.
     """
-    probe = (lo + hi) / 2.0
-    k = int(math.floor(probe))
-    line = _probe(expr, probe, LEBESGUE)
-    count = None
-    if line is None or line.is_neg_inf:
-        count = _probe(expr, k, COUNTING)
-    elif line.is_undefined:
-        count, beside = _probe(expr, k, COUNTING), _probe(expr, k + 1, COUNTING)
-        if beside is None or not beside.is_finite:
-            count = None
-    if line is None and count is None:
-        raise ValueError("check supports measures with a scalar Lebesgue or Counting reference")
-    if line is None or (count is not None and count.is_finite):
+    try:
+        root = core.root_measure(expr, (lo + hi) / 2.0)
+        parts = root.components if isinstance(root, Superposition) else (root,)
+    except ShapeError:  # the midpoint does not fit the measure
+        parts = ()
+    kinds = set()
+    for part in parts:
+        if isinstance(part, Dirac):
+            kinds.add("counting" if part.atom % 1 == 0 else None)
+        else:
+            kinds.add((part.reference_class() or (None,))[0])
+    if "lebesgue" in kinds:
+        return verify.Interval(lo, hi)
+    if kinds == {"counting"}:
         return verify.IntegerRange(int(math.ceil(lo)), int(math.floor(hi)))
-    return verify.Interval(lo, hi)
+    raise ValueError("check supports measures with a scalar Lebesgue or Counting reference")
 
 
 def _cmd_check(args) -> int:
     expr = _load_expr(args.expr)
-    region = _detect_region(expr, args.lo, args.hi)
+    region = _region(expr, args.lo, args.hi)
     total = verify.mass(expr, region, args.tol)
     verdict = "PASS" if abs(total - 1.0) <= 10.0 * args.tol else "FAIL"
     print(f"mass {total:.12g} {verdict}")

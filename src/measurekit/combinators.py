@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import islice, repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import core, rng
@@ -95,19 +95,13 @@ class Product(MeasureExpr):
             return None
         if self.self_checking:
             self._check_length(x)
-        total = 0.0
-        for child, target, xi in zip(self.children, targets, x):
-            total += _log_density(child, xi, target)
-        return total
+        return _coordinatewise(self.children, targets, x)
 
     def rule_as_target(self, other, x) -> Optional[float]:
         if isinstance(other, Power) and other.shape == (len(self.children),):
             if self.self_checking:
                 self._check_length(x)
-            total = 0.0
-            for child, xi in zip(self.children, x):
-                total += _log_density(other.child, xi, child)
-            return total
+            return _coordinatewise(repeat(other.child), self.children, x)
         return None
 
     def reference_class(self):
@@ -137,6 +131,15 @@ class Product(MeasureExpr):
             child._sample_normalized(rng.derive_key(seed, i))
             for i, child in enumerate(self.children)
         )
+
+
+def _coordinatewise(sources, targets, x) -> float:
+    """Sum of `_log_density` of each coordinate against its target, left to
+    right from 0.0; zip's shortest argument sets the number of coordinates."""
+    total = 0.0
+    for source, target, xi in zip(sources, targets, x):
+        total += _log_density(source, xi, target)
+    return total
 
 
 def product(mu: MeasureExpr, nu: MeasureExpr) -> Product:
@@ -277,16 +280,10 @@ class Power(MeasureExpr):
     def fixed_pair_rule(self, other, x) -> Optional[float]:
         # Coordinatewise split once both chains are stuck (powers of atoms
         # against structured references the scalar classification misses).
-        if isinstance(other, Power) and other.shape == self.shape:
-            targets = (other.child for _ in range(_shape_size(self.shape)))
-        elif isinstance(other, Product) and self.shape == (len(other.children),):
-            targets = iter(other.children)
-        else:
+        # Against a Product, a Product rule ends every walk before this one.
+        if not (isinstance(other, Power) and other.shape == self.shape):
             return None
-        total = 0.0
-        for target, xi in zip(targets, _flat(x, self.shape)):
-            total += _log_density(self.child, xi, target)
-        return total
+        return _coordinatewise(repeat(self.child), repeat(other.child), _flat(x, self.shape))
 
     def log_total_mass(self):
         lm = self.child.log_total_mass()
@@ -795,6 +792,14 @@ def _solve_lower(m, v):
     return tuple(out)
 
 
+def _minus(a, b: float) -> float:
+    """a - b, where an int a beyond the float range counts as the infinity it rounds to."""
+    try:
+        return a - b
+    except OverflowError:
+        return (math.inf if a > 0 else -math.inf) - b
+
+
 def _log_det(m) -> float:
     if isinstance(m, tuple):
         return sum(math.log(m[i][i]) for i in range(len(m)))
@@ -850,13 +855,12 @@ class AffineMap:
 
     def to_source(self, x):
         """Map a transformed-space point back to the source space."""
-        if self.mode == "forward":
-            if self.is_matrix:
-                return _solve_lower(self.factor, tuple(a - b for a, b in zip(x, self.offset)))
-            return (x - self.offset) / self.factor
         if self.is_matrix:
-            return _matvec(self.factor, tuple(a - b for a, b in zip(x, self.offset)))
-        return self.factor * (x - self.offset)
+            shifted = tuple(_minus(a, b) for a, b in zip(x, self.offset))
+            return (_solve_lower if self.mode == "forward" else _matvec)(self.factor, shifted)
+        if self.mode == "forward":
+            return _minus(x, self.offset) / self.factor
+        return self.factor * _minus(x, self.offset)
 
     def log_det_forward(self) -> float:
         """log |d(transformed)/d(source)|."""

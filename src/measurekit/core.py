@@ -358,9 +358,8 @@ class MeasureExpr:
         raise NotProbabilityError(f"cannot sample from {type(self).__name__}")
 
 
-@dataclass(frozen=True)
-class Lebesgue(MeasureExpr):
-    """Length/volume on the real line; a primitive measure."""
+class _Primitive(MeasureExpr):
+    """A primitive measure: its own base, so every base chain ends at one."""
 
     static_base = True
 
@@ -369,33 +368,29 @@ class Lebesgue(MeasureExpr):
 
     def base_at(self, x) -> MeasureExpr:
         return self
+
+
+@dataclass(frozen=True)
+class Lebesgue(_Primitive):
+    """Length/volume on the real line; a primitive measure."""
 
     def reference_class(self):
         return ("lebesgue", 0.0)
 
 
 @dataclass(frozen=True)
-class Counting(MeasureExpr):
+class Counting(_Primitive):
     """Unit mass on every point of a countable carrier; a primitive measure."""
-
-    static_base = True
-
-    def log_density_at(self, x) -> float:
-        return 0.0
-
-    def base_at(self, x) -> MeasureExpr:
-        return self
 
     def reference_class(self):
         return ("counting", 0.0)
 
 
 @dataclass(frozen=True)
-class Dirac(MeasureExpr):
+class Dirac(_Primitive):
     """Unit point mass at ``atom``; a primitive measure."""
 
     atom: Any
-    static_base = True
 
     def check_point(self, x) -> None:
         if isinstance(self.atom, tuple):
@@ -406,9 +401,6 @@ class Dirac(MeasureExpr):
 
     def log_density_at(self, x) -> float:
         return 0.0 if x == self.atom else -math.inf
-
-    def base_at(self, x) -> MeasureExpr:
-        return self
 
     def log_total_mass(self):
         return 0.0
@@ -469,7 +461,7 @@ class Weighted(MeasureExpr):
 
 def is_primitive(m: MeasureExpr) -> bool:
     """True exactly for the primitive measures: Lebesgue, Counting, Dirac."""
-    return isinstance(m, (Lebesgue, Counting, Dirac))
+    return isinstance(m, _Primitive)
 
 
 def base_measure(m: MeasureExpr, x) -> MeasureExpr:
@@ -483,6 +475,22 @@ def base_measure(m: MeasureExpr, x) -> MeasureExpr:
         return m.base_at(x)
     except RecursionError:
         raise DepthError(_TOO_DEEP) from None
+
+
+def root_measure(m: MeasureExpr, x) -> MeasureExpr:
+    """The end of m's base chain near x: the first node that is its own base.
+
+    Raises DepthError when m is nested too deeply to evaluate.
+    """
+    try:
+        for _ in range(_MAX_CHAIN_STEPS):
+            base = base_measure(m, x)
+            if base is m or base == m:
+                return m
+            m = base
+    except RecursionError:
+        raise DepthError(_TOO_DEEP) from None
+    raise RuntimeError("base-measure chain did not terminate")
 
 
 def log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> LogWeight:

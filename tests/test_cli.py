@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from measurekit import cli, combinators, core
 from measurekit.cli import format_log_weight, main, parse_expr, print_expr
 import measurekit as mk
 
@@ -445,6 +446,65 @@ class TestCheckCommand:
             code, out, _ = run(capsys, ["check", "--expr", expr, "--lo", "-1", "--hi", "1"])
         assert code == 0
         assert out == f"mass {0.5 + 2.0 * math.exp(-3.0):.12g} FAIL\n"
+
+    def test_atom_outside_the_count_law_sums_over_integers(self, tmp_path, capsys):
+        # The atom at -3 lies below the Poisson's support; the range holds it
+        # and the Poisson's mass at 0.
+        expr = write_doc(
+            tmp_path,
+            "dp",
+            {"Superpose": [
+                {"Scale": {"logw": math.log(0.5), "of": {"Dirac": {"a": -3}}}},
+                {"Scale": {"logw": math.log(0.5), "of": {"Poisson": {"rate": 3.0}}}},
+            ]},
+        )
+        with pytest.warns(UserWarning, match="truncated"):
+            code, out, _ = run(capsys, ["check", "--expr", expr, "--lo", "-6", "--hi", "0"])
+        assert code == 0
+        assert out == "mass 0.524893534184 FAIL\n"
+
+    def test_atom_at_an_integer_sums_over_integers(self, tmp_path, capsys):
+        expr = write_doc(tmp_path, "d", {"Dirac": {"a": 2}})
+        code, out, _ = run(capsys, ["check", "--expr", expr, "--lo", "0", "--hi", "5"])
+        assert code == 0
+        assert out == "mass 1 PASS\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"Dirac": {"a": 0.5}},
+        {"Chain": {"initial": {"Normal": {"mu": 0}},
+                   "step": {"family": "Normal", "maps": {"mu": "identity", "sigma": "const:1"}}}},
+    ], ids=["atom-off-the-integers", "chain"])
+    def test_unsupported_reference_exit_1(self, tmp_path, capsys, doc):
+        expr = write_doc(tmp_path, "m", doc)
+        code, out, err = run(capsys, ["check", "--expr", expr, "--lo", "0", "--hi", "1"])
+        assert code == 1
+        assert out == ""
+        assert "scalar Lebesgue or Counting reference" in err
+
+    def test_region_choice_evaluates_no_density(self, tmp_path, capsys, monkeypatch):
+        choose = cli._region
+
+        def no_density(*args):
+            raise AssertionError("the region choice evaluated a density")
+
+        def guarded(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_log_density", no_density)
+                patch.setattr(combinators, "_log_density", no_density)
+                return choose(*args)
+
+        monkeypatch.setattr(cli, "_region", guarded)
+        half = math.log(0.5)
+        cases = [
+            ({"Normal": {}}, "-8", "8", "mass 1 PASS\n"),
+            ({"Poisson": {"rate": 1.0}}, "0", "60", "mass 1 PASS\n"),
+            ({"Superpose": [{"Scale": {"logw": half, "of": {"Dirac": {"a": 0}}}},
+                            {"Scale": {"logw": half, "of": {"Poisson": {"rate": 3.0}}}}]},
+             "-0.5", "60", "mass 1 PASS\n"),
+        ]
+        for doc, lo, hi, want in cases:
+            expr = write_doc(tmp_path, "m", doc)
+            assert run(capsys, ["check", "--expr", expr, "--lo", lo, "--hi", hi]) == (0, want, "")
 
 
 class TestUsageErrors:

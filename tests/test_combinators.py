@@ -671,6 +671,23 @@ class TestPushforward:
         got = log_density(m, x, wrt=mk.power(LEBESGUE, (2,)))
         assert got.value == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("t, x, rounded", [
+        (mk.forward_map(2.0, -0.5), 10**400, math.inf),
+        (mk.inverse_map(2.0, -0.5), -10**400, -math.inf),
+        (mk.forward_map(((2.0, 0.0), (0.5, 1.5)), (1.0, -1.0)), (10**400, 0.3), (math.inf, 0.3)),
+        (mk.inverse_map(((2.0, 0.0), (0.5, 1.5)), (1.0, -1.0)), (0.3, -10**400), (0.3, -math.inf)),
+    ], ids=["scalar-forward", "scalar-inverse", "matrix-forward", "matrix-inverse"])
+    def test_int_beyond_the_float_range_is_neg_inf_not_error(self, t, x, rounded):
+        # Such an int evaluates as the infinity it rounds to.
+        if t.is_matrix:
+            m = mk.pushforward(t, mk.power(mk.Normal(0.1, 0.8), (2,)))
+            wrt = mk.power(LEBESGUE, (2,))
+        else:
+            m, wrt = mk.pushforward(t, mk.Normal(0.1, 0.8)), LEBESGUE
+        for ref in (wrt, None):
+            assert log_density(m, x, wrt=ref).is_neg_inf
+            assert log_density(m, rounded, wrt=ref).is_neg_inf
+
     def test_sampling_transports_draws(self):
         t = mk.forward_map(2.0, 1.0)
         m = mk.pushforward(t, mk.make_normal())

@@ -49,6 +49,25 @@ class TestBaseMeasure:
             base_measure(mk.make_normal(), (1.0, 2.0))
 
 
+class TestRootMeasure:
+    def test_family_chains_end_at_their_primitive(self):
+        assert mk.root_measure(mk.make_normal(), 0.3) == LEBESGUE
+        assert mk.root_measure(scale(-0.7, mk.Poisson(3.0)), 2) == COUNTING
+
+    def test_spike_and_slab_ends_at_the_sum_of_its_roots(self):
+        half = math.log(0.5)
+        ss = mk.superpose(scale(half, Dirac(0)), scale(half, mk.make_normal()))
+        for x in (0, 0.0, 1.5):
+            assert mk.root_measure(ss, x) == mk.Superposition((Dirac(0), LEBESGUE))
+
+    def test_too_deep_is_a_depth_error(self):
+        deep = mk.make_normal()
+        for _ in range(2000):
+            deep = mk.Pushforward(mk.forward_map(1.0, 0.0), deep)
+        with pytest.raises(mk.DepthError, match="nested too deeply"):
+            mk.root_measure(deep, 0.1)
+
+
 class TestIsPrimitive:
     def test_primitives(self):
         assert is_primitive(LEBESGUE)
