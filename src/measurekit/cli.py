@@ -18,8 +18,9 @@ come from `catalog.FAMILIES`.
 Subcommands: ``logdensity``, ``sample``, ``check``.  ``check`` reads the root
 of the measure's base chain (`core.root_measure`) at the middle of the range,
 evaluating no density: it integrates when a part of the root is Lebesgue, and
-sums over the integers when every part is counting measure or an atom at an
-integer.  Exit codes: 0 success, 1 usage/parse/shape errors and expressions
+sums over the integers when every part is an atom at an integer or counting
+measure, pushed forward (if at all) by maps that keep the integers on the
+integers.  Exit codes: 0 success, 1 usage/parse/shape errors and expressions
 nested too deeply to evaluate, 2 measure-theoretic failures (unrelated
 primitive measures, undefined density).
 """
@@ -327,7 +328,8 @@ def _region(expr: MeasureExpr, lo: float, hi: float):
 
     A scalar measure's root is the same at every point, so the midpoint
     stands for the range.  A Lebesgue part needs the interval; counting parts
-    and atoms at integers need only the integers.
+    whose atoms sit on the integers, and atoms at integers, need only the
+    integers.
     """
     try:
         root = core.root_measure(expr, (lo + hi) / 2.0)
@@ -339,12 +341,26 @@ def _region(expr: MeasureExpr, lo: float, hi: float):
         if isinstance(part, Dirac):
             kinds.add("counting" if part.atom % 1 == 0 else None)
         else:
-            kinds.add((part.reference_class() or (None,))[0])
+            kind = (part.reference_class() or (None,))[0]
+            kinds.add(kind if kind != "counting" or _keeps_integers(part) else None)
     if "lebesgue" in kinds:
         return verify.Interval(lo, hi)
     if kinds == {"counting"}:
         return verify.IntegerRange(int(math.ceil(lo)), int(math.floor(hi)))
     raise ValueError("check supports measures with a scalar Lebesgue or Counting reference")
+
+
+def _keeps_integers(m: MeasureExpr) -> bool:
+    """Whether the affine maps of m's pushforwards, composed, send every
+    integer to an integer: f(0) and f(1) - f(0) are integers."""
+    maps = []
+    while isinstance(m, Pushforward):
+        maps.append(m.map)
+        m = m.inner
+    at0, at1 = 0.0, 1.0
+    for t in reversed(maps):
+        at0, at1 = t.from_source(at0), t.from_source(at1)
+    return at0 % 1 == 0 and (at1 - at0) % 1 == 0
 
 
 def _cmd_check(args) -> int:

@@ -4,12 +4,17 @@ Products, powers, indexed products, monadic bind, superposition, constant
 scaling, pointwise products with likelihoods, density closures, integral
 measures, and affine pushforwards.  All nodes are immutable; evaluation is
 pure.
+
+`Product` and `ForProduct` are products of fixed factors and share one set
+of loops (`_FixedProduct`); a ForProduct applies its kernel once per index,
+when it is built.  The one product whose factors depend on the point is
+`kernels.Chain`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice, repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
@@ -33,30 +38,33 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Product(MeasureExpr):
-    """Independent product; points are tuples with one slot per factor."""
+class _FixedProduct(MeasureExpr):
+    """Independent product of the fixed measures ``children``, one per slot
+    of a tuple point: checks, data terms, masses and draws run factor by
+    factor, left to right.  A subclass declares ``children``, the message of
+    its length error and `base_at`.
+    """
 
-    children: Tuple[MeasureExpr, ...]
+    #: The ShapeError message for a point that is no tuple of the right length.
+    _length_error = "Product of {n} factors expects a {n}-tuple, got {x!r}"
 
     def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("Product needs at least two factors")
-        if any(child.self_checking for child in self.children):
-            # Such a child checks its entry as it is evaluated; a separate
-            # check would apply its kernels twice.
-            object.__setattr__(self, "self_checking", True)
-
-    @property
-    def static_base(self) -> bool:
-        return all(child.static_base for child in self.children)
+        # Both flags are stored, not computed per read: a ForProduct may have
+        # thousands of factors.
+        static = True
+        for child in self.children:
+            if child.self_checking:
+                # Such a child checks its entry as it is evaluated; a
+                # separate check would apply its kernels twice.
+                object.__setattr__(self, "self_checking", True)
+            if not child.static_base:
+                static = False
+        if static:
+            object.__setattr__(self, "static_base", True)
 
     def _check_length(self, x) -> None:
         if not isinstance(x, tuple) or len(x) != len(self.children):
-            raise ShapeError(
-                f"Product of {len(self.children)} factors expects a "
-                f"{len(self.children)}-tuple, got {x!r}"
-            )
+            raise ShapeError(self._length_error.format(n=len(self.children), x=x))
 
     def check_point(self, x) -> None:
         self._check_length(x)
@@ -73,15 +81,43 @@ class Product(MeasureExpr):
     def log_density_at(self, x) -> float:
         if self.self_checking:
             self._check_unchecked(x)
-        total = 0.0
-        for child, xi in zip(self.children, x):
-            total += child.log_density_at(xi)
-        return total
+        return _data_sum(self.children, x)
 
-    def base_at(self, x) -> MeasureExpr:
+    def _child_bases(self, x) -> list:
+        """Each factor's base at its entry."""
         if self.self_checking:
             self._check_unchecked(x)
-        return Product(tuple(c.base_at(xi) for c, xi in zip(self.children, x)))
+        return [c.base_at(xi) for c, xi in zip(self.children, x)]
+
+    def log_total_mass(self):
+        total = 0.0
+        for child in self.children:
+            lm = child.log_total_mass()
+            if lm is None:
+                return None
+            total += lm
+        return total
+
+    def _sample_normalized(self, seed: int):
+        return tuple(
+            child._sample_normalized(rng.derive_key(seed, i))
+            for i, child in enumerate(self.children)
+        )
+
+
+@dataclass(frozen=True)
+class Product(_FixedProduct):
+    """Independent product; points are tuples with one slot per factor."""
+
+    children: Tuple[MeasureExpr, ...]
+
+    def __post_init__(self):
+        if len(self.children) < 2:
+            raise ValueError("Product needs at least two factors")
+        super().__post_init__()
+
+    def base_at(self, x) -> MeasureExpr:
+        return Product(tuple(self._child_bases(x)))
 
     # The rules evaluate each coordinate through `_log_density`, which checks it.
 
@@ -117,20 +153,13 @@ class Product(MeasureExpr):
             return None
         return (kinds.pop(), det)
 
-    def log_total_mass(self):
-        total = 0.0
-        for child in self.children:
-            lm = child.log_total_mass()
-            if lm is None:
-                return None
-            total += lm
-        return total
 
-    def _sample_normalized(self, seed: int):
-        return tuple(
-            child._sample_normalized(rng.derive_key(seed, i))
-            for i, child in enumerate(self.children)
-        )
+def _data_sum(factors, x) -> float:
+    """Sum of each factor's `log_density_at` at its entry, left to right from 0.0."""
+    total = 0.0
+    for m, xi in zip(factors, x):
+        total += m.log_density_at(xi)
+    return total
 
 
 def _coordinatewise(sources, targets, x) -> float:
@@ -209,10 +238,24 @@ def _check_shape(x, shape, child: Optional[MeasureExpr]):
         raise ShapeError(f"expected a tuple of length {shape[0]}, got {x!r}")
     if len(shape) == 1:
         if child is not None:
-            child._check_block(x)
+            _check_entries(x, child)
     else:
         for row in x:
             _check_shape(row, shape[1:], child)
+
+
+def _check_entries(xs, child: MeasureExpr) -> None:
+    """``child.check_point`` on each entry of a flat block, in order; a
+    child's default scalar check sees only entries that are no float or int."""
+    check = child.check_point
+    if type(child).check_point is MeasureExpr.check_point:
+        for x in xs:
+            t = type(x)
+            if t is not float and t is not int:
+                check(x)
+    else:
+        for x in xs:
+            check(x)
 
 
 def _build_shape(shape, entries):
@@ -231,10 +274,10 @@ class Power(MeasureExpr):
     weighted factors, so the normalization term is evaluated a single time
     regardless of n.  A child whose base ignores the point has its base
     computed once; otherwise each coordinate's base is taken at its entry.
-    Checking, data terms and draws hand the child the whole flat block of
-    coordinates through its block hooks (`MeasureExpr._check_block`,
-    `_data_block`, `_sample_block`).  A power of a self-checking child is
-    self-checking: it checks only the nesting, and the child its entries.
+    Checks, data terms and draws take the whole flat block of coordinates at
+    once (`_check_entries`, and the child's `_data_block` and `_sample_block`
+    hooks).  A power of a self-checking child is self-checking: it checks
+    only the nesting, and the child its entries.
     """
 
     child: MeasureExpr
@@ -304,100 +347,28 @@ def power(mu: MeasureExpr, shape: Sequence[int]) -> Power:
 # ---------------------------------------------------------------------------
 
 
-class LocalProduct(MeasureExpr):
-    """A measure that at each point is a product of one measure per coordinate.
-
-    Subclasses build those measures from the point in `_factors`, checking
-    each coordinate against its measure as it is built.  Every evaluation
-    therefore validates the point (``self_checking``) and builds each
-    coordinate's measure once; the base goes through `product_base`.
-    """
-
-    self_checking = True
-
-    def _factors(self, x) -> list:
-        raise NotImplementedError
-
-    @staticmethod
-    def _data(factors, x) -> float:
-        total = 0.0
-        for m, xi in zip(factors, x):
-            total += m.log_density_at(xi)
-        return total
-
-    @staticmethod
-    def _base(factors, x) -> MeasureExpr:
-        return product_base([m.base_at(xi) for m, xi in zip(factors, x)], (len(factors),))
-
-    def check_point(self, x) -> None:
-        self._factors(x)
-
-    def log_density_at(self, x) -> float:
-        return self._data(self._factors(x), x)
-
-    def base_at(self, x) -> MeasureExpr:
-        return self._base(self._factors(x), x)
-
-    def unfold(self, x):
-        factors = self._factors(x)
-        return self._data(factors, x), self._base(factors, x)
-
-
 @dataclass(frozen=True)
-class ForProduct(LocalProduct):
-    """Product of kernel outputs over a finite index sequence."""
+class ForProduct(_FixedProduct):
+    """Product of kernel(i) over a finite index sequence; points are flat tuples.
+
+    Each factor depends on its index alone, so the kernel is applied once per
+    index, when the node is built.  The factors are kept in ``children``,
+    which takes no part in equality, hashing or repr.
+    """
 
     indices: Tuple[Any, ...]
     kernel: Callable[[Any], MeasureExpr]
+    children: Tuple[MeasureExpr, ...] = field(init=False, repr=False, compare=False)
+    _length_error = "ForProduct over {n} indices expects a {n}-tuple, got {x!r}"
 
     def __post_init__(self):
         if not self.indices:
             raise ValueError("ForProduct needs at least one index")
+        object.__setattr__(self, "children", tuple(self.kernel(i) for i in self.indices))
+        super().__post_init__()
 
-    def _factors(self, x):
-        if not isinstance(x, tuple) or len(x) != len(self.indices):
-            raise ShapeError(
-                f"ForProduct over {len(self.indices)} indices expects a "
-                f"{len(self.indices)}-tuple, got {x!r}"
-            )
-        factors = []
-        for i, xi in zip(self.indices, x):
-            m = self.kernel(i)
-            m.check_point(xi)
-            factors.append(m)
-        return factors
-
-    def _factors_and_mass(self):
-        """Each index's measure and their summed log mass, left to right.
-
-        Building stops at the first measure of unknown mass; the sum is then
-        None.
-        """
-        factors = []
-        total = 0.0
-        for i in self.indices:
-            m = self.kernel(i)
-            lm = m.log_total_mass()
-            if lm is None:
-                return factors, None
-            total += lm
-            factors.append(m)
-        return factors, total
-
-    def log_total_mass(self):
-        return self._factors_and_mass()[1]
-
-    def _sample(self, seed: int):
-        # `sample` with each index's measure built once: summed, then drawn.
-        factors, total = self._factors_and_mass()
-        core._require_probability(self, total)
-        return tuple(m._sample_normalized(rng.derive_key(seed, j)) for j, m in enumerate(factors))
-
-    def _sample_normalized(self, seed: int):
-        return tuple(
-            self.kernel(i)._sample_normalized(rng.derive_key(seed, j))
-            for j, i in enumerate(self.indices)
-        )
+    def base_at(self, x) -> MeasureExpr:
+        return product_base(self._child_bases(x), (len(self.children),))
 
 
 def for_product(indices: Sequence[Any], kernel) -> ForProduct:
@@ -778,16 +749,18 @@ def _check_lower_triangular(m):
             raise ValueError("affine factor must have a positive diagonal")
 
 
+# Both skip the zero entries of the triangle: a zero entry adds nothing, where
+# 0.0 * inf would add NaN at an infinite coordinate.
 def _matvec(m, v):
     return tuple(
-        sum(m[i][j] * v[j] for j in range(i + 1)) for i in range(len(m))
+        sum(m[i][j] * v[j] for j in range(i + 1) if m[i][j]) for i in range(len(m))
     )
 
 
 def _solve_lower(m, v):
     out = []
     for i in range(len(m)):
-        s = v[i] - sum(m[i][j] * out[j] for j in range(i))
+        s = v[i] - sum(m[i][j] * out[j] for j in range(i) if m[i][j])
         out.append(s / m[i][i])
     return tuple(out)
 

@@ -272,21 +272,8 @@ class MeasureExpr:
         raise NotImplementedError
 
     # Block hooks: an iid power hands its child a flat block of coordinates
-    # (row-major) in one call.  An override must give exactly the bits and
-    # the errors of the per-coordinate methods.
-
-    def _check_block(self, xs) -> None:
-        """`check_point` on each entry of a flat block, in order."""
-        check = self.check_point
-        if type(self).check_point is MeasureExpr.check_point:
-            # The default check passes plain floats and ints; only others reach it.
-            for x in xs:
-                t = type(x)
-                if t is not float and t is not int:
-                    check(x)
-        else:
-            for x in xs:
-                check(x)
+    # (row-major) to sum or to draw in one call.  An override must give
+    # exactly the bits and the errors of the per-coordinate methods.
 
     def _data_block(self, xs) -> float:
         """Sum of `log_density_at` over a flat block, left to right from 0.0."""

@@ -4,7 +4,9 @@ A kernel maps points to measures, either through a family constructor with
 per-parameter maps or as an opaque function.  Chains pair a starting
 probability measure with a kernel on the state space; sampling a chain gives
 a seed-carrying lazy infinite iterator, and finite prefixes have
-data-dependent log-densities.
+data-dependent log-densities.  A chain prefix is a product whose factors
+depend on the point, so each evaluation applies the step kernel once per
+element and checks the prefix as it goes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import catalog, core, rng
-from .combinators import LocalProduct
+from .combinators import _data_sum, product_base
 from .core import LogWeight, MeasureExpr, NotProbabilityError, ShapeError
 
 # Closed vocabulary of serializable parameter maps.
@@ -107,7 +109,7 @@ def apply_kernel(k, x) -> MeasureExpr:
 
 
 @dataclass(frozen=True)
-class Chain(LocalProduct):
+class Chain(MeasureExpr):
     """Markov chain: initial probability measure plus a step kernel.
 
     As a measure expression it is evaluated at finite prefixes: the
@@ -115,13 +117,15 @@ class Chain(LocalProduct):
     log p(x1) + sum_i log p(x_{i+1} | x_i), and the base measure at the
     prefix is assembled from the initial and per-step bases, so densities
     against Lebesgue^n work through the ordinary recursion.  Each evaluation
-    applies the step kernel once per element.
+    applies the step kernel once per element (``self_checking``).
     """
 
     initial: MeasureExpr
     step: Kernel
+    self_checking = True
 
-    def _factors(self, x):
+    def _elements(self, x) -> list:
+        """The measure of each element of the prefix x, each element checked."""
         if not isinstance(x, (tuple, list)) or len(x) == 0:
             raise ShapeError(f"Chain expects a nonempty finite prefix, got {x!r}")
         self.initial.check_point(x[0])
@@ -131,6 +135,23 @@ class Chain(LocalProduct):
             m.check_point(cur)
             elements.append(m)
         return elements
+
+    @staticmethod
+    def _base(elements, x) -> MeasureExpr:
+        return product_base([m.base_at(xi) for m, xi in zip(elements, x)], (len(elements),))
+
+    def check_point(self, x) -> None:
+        self._elements(x)
+
+    def log_density_at(self, x) -> float:
+        return _data_sum(self._elements(x), x)
+
+    def base_at(self, x) -> MeasureExpr:
+        return self._base(self._elements(x), x)
+
+    def unfold(self, x):
+        elements = self._elements(x)
+        return _data_sum(elements, x), self._base(elements, x)
 
     def log_total_mass(self):
         # Assumes the step kernel is Markov; each element draw re-checks it.

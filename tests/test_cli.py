@@ -469,6 +469,23 @@ class TestCheckCommand:
         assert code == 0
         assert out == "mass 1 PASS\n"
 
+    def test_count_law_moved_off_the_integers_exit_1(self, tmp_path, capsys):
+        # sigma 0.5 puts the odd counts on half-integers, where a sum over the
+        # integers would miss them.
+        expr = write_doc(tmp_path, "pf", {"Pushforward": {
+            "mode": "Forward", "sigma": 0.5, "x0": 0, "of": {"Poisson": {"rate": 3.0}}}})
+        code, out, err = run(capsys, ["check", "--expr", expr, "--lo", "0", "--hi", "30"])
+        assert code == 1
+        assert out == ""
+        assert "scalar Lebesgue or Counting reference" in err
+
+    def test_count_law_moved_along_the_integers_sums_over_them(self, tmp_path, capsys):
+        expr = write_doc(tmp_path, "pf", {"Pushforward": {
+            "mode": "Forward", "sigma": 2, "x0": 1, "of": {"Poisson": {"rate": 3.0}}}})
+        code, out, _ = run(capsys, ["check", "--expr", expr, "--lo", "0", "--hi", "80"])
+        assert code == 0
+        assert out == "mass 1 PASS\n"
+
     @pytest.mark.parametrize("doc", [
         {"Dirac": {"a": 0.5}},
         {"Chain": {"initial": {"Normal": {"mu": 0}},

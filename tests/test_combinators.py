@@ -271,6 +271,25 @@ class TestForProduct:
         assert calls == list(range(100))
         assert draw == tuple(kernel(j)._sample_normalized(derive_key(3, j)) for j in range(100))
 
+    def test_kernel_applied_once_per_index_over_the_node_lifetime(self):
+        # The factors depend on their index alone, so however often the node
+        # is evaluated or drawn from, each index's measure is built once.
+        calls = []
+
+        def kernel(j):
+            calls.append(j)
+            return mk.make_normal(mu=0.1 * j, sigma=1.5)
+
+        n = 12
+        m = mk.for_product(range(n), kernel)
+        lebesgue = mk.power(LEBESGUE, (n,))
+        for k in range(4):
+            ys = tuple(0.2 * j - 0.3 * k for j in range(n))
+            assert log_density(m, ys, wrt=lebesgue).is_finite
+            assert log_density(m, ys).is_finite
+            assert len(sample(m, k)) == n
+        assert calls == list(range(n))
+
     def test_sampling_refuses_a_kernel_of_non_unit_mass(self):
         kernel = lambda j: scale(-0.5, mk.make_normal()) if j == 7 else mk.make_normal()
         with pytest.raises(mk.NotProbabilityError):
@@ -676,9 +695,13 @@ class TestPushforward:
         (mk.inverse_map(2.0, -0.5), -10**400, -math.inf),
         (mk.forward_map(((2.0, 0.0), (0.5, 1.5)), (1.0, -1.0)), (10**400, 0.3), (math.inf, 0.3)),
         (mk.inverse_map(((2.0, 0.0), (0.5, 1.5)), (1.0, -1.0)), (0.3, -10**400), (0.3, -math.inf)),
-    ], ids=["scalar-forward", "scalar-inverse", "matrix-forward", "matrix-inverse"])
+        (mk.forward_map(((2.0, 0.0), (0.0, 1.0))), (10**400, 0.3), (math.inf, 0.3)),
+        (mk.inverse_map(((2.0, 0.0), (0.0, 1.0))), (10**400, 0.3), (math.inf, 0.3)),
+    ], ids=["scalar-forward", "scalar-inverse", "matrix-forward", "matrix-inverse",
+            "zero-below-diagonal-forward", "zero-below-diagonal-inverse"])
     def test_int_beyond_the_float_range_is_neg_inf_not_error(self, t, x, rounded):
-        # Such an int evaluates as the infinity it rounds to.
+        # Such an int evaluates as the infinity it rounds to.  A zero entry of
+        # the map adds nothing to the other coordinate, not 0.0 * inf = NaN.
         if t.is_matrix:
             m = mk.pushforward(t, mk.power(mk.Normal(0.1, 0.8), (2,)))
             wrt = mk.power(LEBESGUE, (2,))

@@ -127,6 +127,8 @@ def _pair_sources():
         mk.power(mk.Poisson(2.0), (2,)),
         mk.pushforward(mk.forward_map(tri, (0.3, -0.2)), mk.power(mk.Normal(), (2,))),
         mk.pushforward(mk.inverse_map(tri, (0.1, 0.0)), mk.product(mk.Normal(), mk.Normal(1.0))),
+        mk.for_product((0, 1), mk.make_kernel("Normal", mu="affine:0.5:-0.2", sigma="const:1.3")),
+        mk.for_product((1, 3), mk.make_kernel("Poisson", rate="affine:1.5:0.5")),
     ]
 
 
