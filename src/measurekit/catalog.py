@@ -21,6 +21,7 @@ from . import rng
 from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _is_scalar
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_INF = math.inf
 
 
 def _is_count(x) -> bool:
@@ -66,8 +67,10 @@ class Normal(_Law):
             object.__setattr__(self, "mu", float(self.mu))
         if type(self.sigma) is not float:
             object.__setattr__(self, "sigma", float(self.sigma))
-        if not self.sigma > 0.0:
-            raise ValueError(f"Normal requires sigma > 0, got {self.sigma}")
+        if not -_INF < self.mu < _INF:
+            raise ValueError(f"Normal requires finite mu, got {self.mu}")
+        if not 0.0 < self.sigma < _INF:
+            raise ValueError(f"Normal requires finite sigma > 0, got {self.sigma}")
 
     def log_density_at(self, x) -> float:
         try:
@@ -124,8 +127,8 @@ class Exponential(_Law):
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
-        if not self.rate > 0.0:
-            raise ValueError(f"Exponential requires rate > 0, got {self.rate}")
+        if not 0.0 < self.rate < _INF:
+            raise ValueError(f"Exponential requires finite rate > 0, got {self.rate}")
 
     def log_density_at(self, x) -> float:
         try:
@@ -173,8 +176,8 @@ class Poisson(_Law):
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
-        if not self.rate > 0.0:
-            raise ValueError(f"Poisson requires rate > 0, got {self.rate}")
+        if not 0.0 < self.rate < _INF:
+            raise ValueError(f"Poisson requires finite rate > 0, got {self.rate}")
 
     def log_density_at(self, x) -> float:
         if not _is_count(x):
@@ -211,8 +214,8 @@ class NegativeBinomial(_Law):
         object.__setattr__(self, "params", params)
         values = dict(params)
         for name in ("r", "alpha", "beta"):
-            if name in values and not values[name] > 0.0:
-                raise ValueError(f"NegativeBinomial requires {name} > 0, got {values[name]}")
+            if name in values and not 0.0 < values[name] < _INF:
+                raise ValueError(f"NegativeBinomial requires finite {name} > 0, got {values[name]}")
         if "p" in values and not 0.0 < values["p"] < 1.0:
             raise ValueError(f"NegativeBinomial requires 0 < p < 1, got {values['p']}")
 
@@ -344,7 +347,8 @@ def _standard_normal(stream: rng.RandomStream) -> float:
 
 
 def _poisson_inversion(stream: rng.RandomStream, rate: float) -> int:
-    # Sequential inversion of the CDF; only used for rate <= 30.
+    # Sequential inversion of the CDF.  exp(-rate) underflows above a rate
+    # of about 745, so `_poisson_draw` passes it rates of 700 at most.
     u = stream.unit()
     p = math.exp(-rate)
     cum = p
@@ -358,13 +362,51 @@ def _poisson_inversion(stream: rng.RandomStream, rate: float) -> int:
 
 
 def _poisson_draw(stream: rng.RandomStream, rate: float) -> int:
-    """Poisson draw: inversion for small rates, additivity chunking above."""
+    """Poisson draw: inversion for small rates, additivity chunking up to a
+    rate of 1400 (halves of 700 at most), transformed rejection above."""
+    if rate > 1400.0:
+        return _poisson_ptrs(stream, rate)
     total = 0
     while rate > 30.0:
         half = rate / 2.0
         total += _poisson_inversion(stream, half)
         rate -= half
     return total + _poisson_inversion(stream, rate)
+
+
+def _poisson_ptrs(stream: rng.RandomStream, rate: float) -> int:
+    """Poisson draw by transformed rejection with squeeze (PTRS; Hoermann,
+    Insurance: Mathematics and Economics 12, 1993), for the rates above 1400
+    that `_poisson_draw` passes it: a bounded expected number of uniforms at
+    any such rate."""
+    b = 0.931 + 2.53 * math.sqrt(rate)
+    a = -0.059 + 0.02483 * b
+    log_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = stream.unit() - 0.5
+        v = stream.unit()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + rate + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return k
+        # P(0) < exp(-1400) is 0 in floating point, so k = 0 is rejected too.
+        if k < 1 or (us < 0.013 and v > us):
+            continue
+        if math.log(v) + log_alpha - math.log(a / (us * us) + b) <= _poisson_log_pmf(k, rate):
+            return k
+
+
+def _poisson_log_pmf(k: int, rate: float) -> float:
+    """log(rate^k e^-rate / k!) for k >= 1, by Stirling's series for log k!.
+
+    Written about d = k - rate, so its terms do not cancel at large rates
+    (k log(rate) - rate - lgamma(k + 1) loses every digit at 1e18).  The
+    series' error is below 1/(1260 k^5).
+    """
+    d = k - rate
+    return (k * math.log1p(-d / k) + d - _HALF_LOG_TWO_PI - 0.5 * math.log(k)
+            - (1.0 / 12.0 - 1.0 / (360.0 * k * k)) / k)
 
 
 def _gamma_draw(stream: rng.RandomStream, shape: float) -> float:

@@ -5,10 +5,12 @@ scaling, pointwise products with likelihoods, density closures, integral
 measures, and affine pushforwards.  All nodes are immutable; evaluation is
 pure.
 
-`Product` and `ForProduct` are products of fixed factors and share one set
-of loops (`_FixedProduct`); a ForProduct applies its kernel once per index,
-when it is built.  The one product whose factors depend on the point is
-`kernels.Chain`.
+`Product`, `ForProduct`, `Bind` and `kernels.Chain` are products on tuple
+points and share one set of loops (`_Product`): each declares only its
+factors at a point and how their bases make its base.  `Product` and
+`ForProduct` have fixed factors (`_FixedProduct`); a ForProduct applies its
+kernel once per index, when it is built.  The factors of `Bind` and `Chain`
+depend on the point.
 """
 
 from __future__ import annotations
@@ -38,11 +40,36 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
-class _FixedProduct(MeasureExpr):
-    """Independent product of the fixed measures ``children``, one per slot
-    of a tuple point: checks, data terms, masses and draws run factor by
-    factor, left to right.  A subclass declares ``children``, the message of
-    its length error and `base_at`.
+class _Product(MeasureExpr):
+    """A product on tuple points: slot i of the point is measured by factor i.
+
+    Data terms and bases run factor by factor, left to right, and `unfold`
+    finds the factors once.  A subclass declares `_factors(x)`, its factor
+    measures at x after the checks it owes x, and `_base_of(bases)`, its
+    base assembled from the factors' bases.
+    """
+
+    def check_point(self, x) -> None:
+        self._factors(x)
+
+    def log_density_at(self, x) -> float:
+        return _data_sum(self._factors(x), x)
+
+    def base_at(self, x) -> MeasureExpr:
+        return self._base_of([m.base_at(xi) for m, xi in zip(self._factors(x), x)])
+
+    def unfold(self, x):
+        factors = self._factors(x)
+        base = self._base_of([m.base_at(xi) for m, xi in zip(factors, x)])
+        if type(base) is type(self) and base == self:  # a Product of fixed points
+            return None
+        return _data_sum(factors, x), base
+
+
+class _FixedProduct(_Product):
+    """Independent product of the fixed measures ``children``: checks, masses
+    and draws run factor by factor, left to right.  A subclass declares
+    ``children``, the message of its length error and `_base_of`.
     """
 
     #: The ShapeError message for a point that is no tuple of the right length.
@@ -71,23 +98,14 @@ class _FixedProduct(MeasureExpr):
         for child, xi in zip(self.children, x):
             child.check_point(xi)
 
-    def _check_unchecked(self, x) -> None:
-        """On a self-checking product: the checks its children's evaluation skips."""
-        self._check_length(x)
-        for child, xi in zip(self.children, x):
-            if not child.self_checking:
-                child.check_point(xi)
-
-    def log_density_at(self, x) -> float:
+    def _factors(self, x):
         if self.self_checking:
-            self._check_unchecked(x)
-        return _data_sum(self.children, x)
-
-    def _child_bases(self, x) -> list:
-        """Each factor's base at its entry."""
-        if self.self_checking:
-            self._check_unchecked(x)
-        return [c.base_at(xi) for c, xi in zip(self.children, x)]
+            # The checks that the children's evaluation skips.
+            self._check_length(x)
+            for child, xi in zip(self.children, x):
+                if not child.self_checking:
+                    child.check_point(xi)
+        return self.children
 
     def log_total_mass(self):
         total = 0.0
@@ -116,8 +134,8 @@ class Product(_FixedProduct):
             raise ValueError("Product needs at least two factors")
         super().__post_init__()
 
-    def base_at(self, x) -> MeasureExpr:
-        return Product(tuple(self._child_bases(x)))
+    def _base_of(self, bases) -> MeasureExpr:
+        return Product(tuple(bases))
 
     # The rules evaluate each coordinate through `_log_density`, which checks it.
 
@@ -132,13 +150,6 @@ class Product(_FixedProduct):
         if self.self_checking:
             self._check_length(x)
         return _coordinatewise(self.children, targets, x)
-
-    def rule_as_target(self, other, x) -> Optional[float]:
-        if isinstance(other, Power) and other.shape == (len(self.children),):
-            if self.self_checking:
-                self._check_length(x)
-            return _coordinatewise(repeat(other.child), self.children, x)
-        return None
 
     def reference_class(self):
         kinds = set()
@@ -367,8 +378,8 @@ class ForProduct(_FixedProduct):
         object.__setattr__(self, "children", tuple(self.kernel(i) for i in self.indices))
         super().__post_init__()
 
-    def base_at(self, x) -> MeasureExpr:
-        return product_base(self._child_bases(x), (len(self.children),))
+    def _base_of(self, bases) -> MeasureExpr:
+        return product_base(bases, (len(bases),))
 
 
 def for_product(indices: Sequence[Any], kernel) -> ForProduct:
@@ -377,7 +388,7 @@ def for_product(indices: Sequence[Any], kernel) -> ForProduct:
 
 
 @dataclass(frozen=True)
-class Bind(MeasureExpr):
+class Bind(_Product):
     """Monadic bind: pair measure (x, y) with y drawn from kernel(x).
 
     The base measure at (x, y) is base(source, x) x base(kernel(x), y),
@@ -388,31 +399,15 @@ class Bind(MeasureExpr):
     source: MeasureExpr
     kernel: Callable[[Any], MeasureExpr]
     self_checking = True
+    _base_of = Product._base_of
 
-    def _inner(self, x) -> MeasureExpr:
-        """kernel(x[0]), with the pair checked against source and kernel output."""
+    def _factors(self, x):
         if not isinstance(x, tuple) or len(x) != 2:
             raise ShapeError(f"Bind expects a pair point, got {x!r}")
         self.source.check_point(x[0])
         inner = self.kernel(x[0])
         inner.check_point(x[1])
-        return inner
-
-    def check_point(self, x) -> None:
-        self._inner(x)
-
-    def log_density_at(self, x) -> float:
-        inner = self._inner(x)
-        return self.source.log_density_at(x[0]) + inner.log_density_at(x[1])
-
-    def base_at(self, x) -> MeasureExpr:
-        inner = self._inner(x)
-        return Product((self.source.base_at(x[0]), inner.base_at(x[1])))
-
-    def unfold(self, x):
-        inner = self._inner(x)
-        data = self.source.log_density_at(x[0]) + inner.log_density_at(x[1])
-        return data, Product((self.source.base_at(x[0]), inner.base_at(x[1])))
+        return self.source, inner
 
     def log_total_mass(self):
         # Assumes the kernel is Markov (unit-mass outputs); checked per draw.
@@ -526,11 +521,6 @@ class Superposition(MeasureExpr):
         if isinstance(other, Superposition) and other == self.base_at(x):
             return self.log_density_at(x)
         return self._componentwise(other, x)
-
-    def rule_as_target(self, other, x) -> Optional[float]:
-        if isinstance(other, Superposition):
-            return None  # let the source-side rule handle it
-        return -self._componentwise(other, x)
 
     def reference_class(self):
         refs = [c.reference_class() for c in self.components]

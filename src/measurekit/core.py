@@ -5,8 +5,9 @@ near a point (`base_at`) and its own log-density against that base
 (`log_density_at`, the data-dependent terms).  The log-density between two
 arbitrary measures is computed by `log_density(mu, x, wrt=nu)`: telescope both
 base-measure chains until the nodes coincide structurally, a direct rule
-applies, or two chain fixed points are reached.  Primitive measures (Lebesgue,
-counting, Dirac) are their own base measures and terminate every chain.
+applies (either node's `rule_vs`, the target's read negated), or two chain
+fixed points are reached.  Primitive measures (Lebesgue, counting, Dirac) are
+their own base measures and terminate every chain.
 
 Inside the engine every log-density is a plain float: -inf when the left
 measure vanishes locally but the right does not, +inf in the reverse case,
@@ -238,8 +239,11 @@ class MeasureExpr:
     that passed `check_point`, except on nodes that set ``self_checking``.
 
     A ``static_base`` node must decide by its structure alone, never by the
-    point, whether it equals another node and whether each of its rule hooks
-    fires, and it keeps the default `unfold`.  The engine relies on this: it
+    point, whether it equals another node and whether its rule hooks fire,
+    its `unfold` must give exactly (`log_density_at`, `base_at`), and it is
+    never ``self_checking`` (the nodes that check as they evaluate build
+    their factors from the point, and a container inherits both flags from
+    its children).  The engine relies on this: it
     walks a pair of static-base measures with `_recurse`, the reference
     walk, and on the second call memoises the walk's plan on the source node
     (``_plans``, an instance attribute that is no dataclass field), so later
@@ -264,7 +268,8 @@ class MeasureExpr:
 
     def check_point(self, x) -> None:
         """Raise ShapeError when x is not in this measure's sample space."""
-        if type(x) is not float and not _is_scalar(x):
+        t = type(x)
+        if t is not float and t is not int and not _is_scalar(x):
             raise ShapeError(f"{type(self).__name__} expects a scalar point, got {x!r}")
 
     def log_density_at(self, x) -> float:
@@ -305,11 +310,8 @@ class MeasureExpr:
     # Optional hooks for the recursion engine ------------------------------
 
     def rule_vs(self, other: "MeasureExpr", x) -> Optional[float]:
-        """Direct rule for d(self)/d(other) at x, or None."""
-        return None
-
-    def rule_as_target(self, other: "MeasureExpr", x) -> Optional[float]:
-        """Direct rule for d(other)/d(self) at x, or None."""
+        """Direct rule for d(self)/d(other) at x, or None.  The engine also
+        reads it negated, as the rule for d(other)/d(self)."""
         return None
 
     def reference_class(self) -> Optional[Tuple[str, float]]:
@@ -519,7 +521,7 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
                 return _replay(plan, m, x)
             seen = True
             break
-    if not (m.static_base and wrt.static_base) or m.self_checking or wrt.self_checking:
+    if not (m.static_base and wrt.static_base):
         return _recurse(m, wrt, x)
     # Each memo update is one tuple swap, so a concurrent reader sees the old
     # or the new memo.
@@ -542,6 +544,8 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
     # side stops at the first node of it that it reaches, which is where the
     # swapped walk stops too.  So when one measure lies on the other's base
     # chain, only the other side is stepped, in either argument order.
+    # At each pair `_rule` asks mu's rule, then nu's negated, so a walk that
+    # a rule ends is antisymmetric too.
     # A walk that ends other than by a NaN exit appends its plan to ``plan``.
     top_mu, top_nu = mu, nu
     # Self-checking sides are validated by their first unfold or by a rule
@@ -559,16 +563,11 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
                     nu_pending = False  # equal measures share one check
                 end = len(nodes)
                 return (num - den) + 0.0
-            rule = mu.rule_vs(nu, x)
+            rule = _rule(mu, nu, x)
             if rule is not None:
-                end = (type(mu).rule_vs, mu, nu)
-            else:
-                rule = nu.rule_as_target(mu, x)
-                if rule is not None:
-                    end = (type(nu).rule_as_target, nu, mu)
-            if rule is not None:
+                end = rule[1]
                 mu_pending = nu_pending = False
-                return (num - den) + rule
+                return (num - den) + rule[0]
             nodes.append(mu)
             sums.append(num)
             step = mu.unfold(x)
@@ -597,15 +596,10 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
                 if node is nu or node == nu:
                     end = i
                     return (source_sum - den) + 0.0
-            rule = mu.rule_vs(nu, x)
+            rule = _rule(mu, nu, x)
             if rule is not None:
-                end = (type(mu).rule_vs, mu, nu)
-            else:
-                rule = nu.rule_as_target(mu, x)
-                if rule is not None:
-                    end = (type(nu).rule_as_target, nu, mu)
-            if rule is not None:
-                return (num - den) + rule
+                end = rule[1]
+                return (num - den) + rule[0]
         raise RuntimeError("base-measure recursion did not terminate")
     finally:
         if mu_pending:
@@ -630,6 +624,23 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
                 cut, (f, a, b) = len(nodes), end
             plan.append((nodes[:cut], nodes[cut:], targets, f,
                          None if a is top_mu else a, None if b is top_mu else b))
+
+
+def _rule(mu: MeasureExpr, nu: MeasureExpr, x):
+    """(d(mu)/d(nu), (f, a, b)) by mu's rule, else by nu's negated, where
+    f(a, b, x) gives the value again; None when neither rule fires."""
+    rule = mu.rule_vs(nu, x)
+    if rule is not None:
+        return rule, (type(mu).rule_vs, mu, nu)
+    rule = nu.rule_vs(mu, x)
+    if rule is not None:
+        return -rule, (_reversed_rule, mu, nu)
+    return None
+
+
+def _reversed_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
+    """d(mu)/d(nu) by nu's rule: the negation of d(nu)/d(mu)."""
+    return -nu.rule_vs(mu, x)
 
 
 def _replay(plan, mu, x) -> float:
@@ -677,11 +688,7 @@ def _fixed_point_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
                 return -ref[1] if x == mu.atom else -math.inf
             return math.nan if x == mu.atom else -math.inf
     elif isinstance(nu, Dirac):
-        ref = mu.reference_class()
-        if ref is not None:
-            if ref[0] == "counting":
-                return ref[1] if x == nu.atom else math.inf
-            return math.nan if x == nu.atom else math.inf
+        return -_fixed_point_rule(nu, mu, x)
     else:
         mu_ref = mu.reference_class()
         nu_ref = nu.reference_class()

@@ -5,8 +5,9 @@ per-parameter maps or as an opaque function.  Chains pair a starting
 probability measure with a kernel on the state space; sampling a chain gives
 a seed-carrying lazy infinite iterator, and finite prefixes have
 data-dependent log-densities.  A chain prefix is a product whose factors
-depend on the point, so each evaluation applies the step kernel once per
-element and checks the prefix as it goes.
+depend on the point (on the loops of `combinators._Product`), so each
+evaluation applies the step kernel once per element and checks the prefix as
+it goes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import catalog, core, rng
-from .combinators import _data_sum, product_base
+from .combinators import ForProduct, _Product
 from .core import LogWeight, MeasureExpr, NotProbabilityError, ShapeError
 
 # Closed vocabulary of serializable parameter maps.
@@ -34,7 +35,7 @@ def resolve_map(spec):
     if isinstance(spec, str) and spec.startswith("const:"):
         value = float(spec.split(":", 1)[1])
         return lambda x: value
-    if isinstance(spec, str) and spec.startswith("affine:"):
+    if isinstance(spec, str) and spec.startswith("affine:") and spec.count(":") == 2:
         _, a, b = spec.split(":")
         a, b = float(a), float(b)
         return lambda x: a * x + b
@@ -109,7 +110,7 @@ def apply_kernel(k, x) -> MeasureExpr:
 
 
 @dataclass(frozen=True)
-class Chain(MeasureExpr):
+class Chain(_Product):
     """Markov chain: initial probability measure plus a step kernel.
 
     As a measure expression it is evaluated at finite prefixes: the
@@ -123,8 +124,9 @@ class Chain(MeasureExpr):
     initial: MeasureExpr
     step: Kernel
     self_checking = True
+    _base_of = ForProduct._base_of
 
-    def _elements(self, x) -> list:
+    def _factors(self, x) -> list:
         """The measure of each element of the prefix x, each element checked."""
         if not isinstance(x, (tuple, list)) or len(x) == 0:
             raise ShapeError(f"Chain expects a nonempty finite prefix, got {x!r}")
@@ -135,23 +137,6 @@ class Chain(MeasureExpr):
             m.check_point(cur)
             elements.append(m)
         return elements
-
-    @staticmethod
-    def _base(elements, x) -> MeasureExpr:
-        return product_base([m.base_at(xi) for m, xi in zip(elements, x)], (len(elements),))
-
-    def check_point(self, x) -> None:
-        self._elements(x)
-
-    def log_density_at(self, x) -> float:
-        return _data_sum(self._elements(x), x)
-
-    def base_at(self, x) -> MeasureExpr:
-        return self._base(self._elements(x), x)
-
-    def unfold(self, x):
-        elements = self._elements(x)
-        return _data_sum(elements, x), self._base(elements, x)
 
     def log_total_mass(self):
         # Assumes the step kernel is Markov; each element draw re-checks it.

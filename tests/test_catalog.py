@@ -1,8 +1,12 @@
 """Parameterized families: construction, densities, support, samplers."""
 
 import math
+import os
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,48 @@ class TestSamplers:
         true_mean = 10 * 0.25 / 0.75
         true_sd = math.sqrt(10 * 0.25) / 0.75
         assert abs(statistics.fmean(draws) - true_mean) < 4.0 * true_sd / math.sqrt(n)
+
+
+class TestLargeRatePoisson:
+    """Above a rate of 1400 a chunk of CDF inversion would start where
+    exp(-rate) underflows; those draws come from transformed rejection."""
+
+    @pytest.mark.parametrize("rate", [2000.0, 1e5])
+    def test_moments_within_six_standard_errors(self, rate):
+        n = 2000
+        draws = [sample(mk.Poisson(rate), derive_key(41, i)) for i in range(n)]
+        assert all(isinstance(d, int) and d >= 0 for d in draws)
+        assert abs(statistics.fmean(draws) - rate) < 6.0 * math.sqrt(rate / n)
+        assert abs(statistics.variance(draws) / rate - 1.0) < 6.0 * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("expr, mean, sd", [
+        ("mk.Poisson(1e18)", 1e18, 1e9),
+        ("mk.make_negbinomial(r=1e300, p=0.5)", 1e300, math.sqrt(2e300)),
+    ])
+    def test_huge_rates_draw_in_bounded_time(self, expr, mean, sd):
+        # In a subprocess, so that a sampler that never returns fails the test.
+        script = f"import measurekit as mk; print(mk.sample({expr}, 1))"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                timeout=30, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert abs(int(result.stdout) - mean) < 10.0 * sd
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: mk.Normal(math.inf, 1.0), "Normal requires finite mu, got inf"),
+        (lambda: mk.Normal(math.nan, 1.0), "Normal requires finite mu, got nan"),
+        (lambda: mk.Normal(0.0, math.inf), "Normal requires finite sigma > 0, got inf"),
+        (lambda: log_density(mk.Exponential(math.inf), 1.0, wrt=LEBESGUE),
+         "Exponential requires finite rate > 0, got inf"),
+        (lambda: sample(mk.Poisson(math.inf), 1), "Poisson requires finite rate > 0, got inf"),
+        (lambda: mk.make_negbinomial(r=math.inf, p=0.5), "NegativeBinomial requires finite r > 0"),
+        (lambda: mk.make_negbinomial(alpha=math.inf, beta=1.0),
+         "NegativeBinomial requires finite alpha > 0"),
+        (lambda: mk.make_negbinomial(alpha=1.0, beta=math.inf),
+         "NegativeBinomial requires finite beta > 0"),
+    ])
+    def test_rejected_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -357,6 +357,15 @@ class TestSampleCommand:
             assert len(pair) == 2
 
 
+class TestNonFiniteParameterDocuments:
+    def test_infinite_poisson_rate_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "poisson.json"
+        path.write_text('{"Poisson": {"rate": 1e999}}')
+        code, out, err = run(capsys, ["sample", "--expr", str(path), "--seed", "1"])
+        assert code == 1 and out == ""
+        assert "at $.Poisson: Poisson requires finite rate > 0, got inf" in err
+
+
 class TestCheckCommand:
     def test_normal_passes(self, tmp_path, capsys):
         expr = write_doc(tmp_path, "n", {"Normal": {}})

@@ -878,3 +878,65 @@ class TestDistributivity:
                 mk.superpose(mk.product(g, a), mk.product(d, a)), q, wrt=eta
             )
             assert left2.value == pytest.approx(right2.value, abs=1e-12)
+
+
+def _density_or_error(mu, x, nu):
+    try:
+        return log_density(mu, x, wrt=nu)
+    except (mk.MeasureError, ValueError) as exc:  # a kernel may reject its input
+        return type(exc)
+
+
+_WALK = mk.chain(mk.make_kernel("Normal", mu="identity"), mk.Normal())
+
+
+class TestPowerAgainstProduct:
+    """A power against a product ends by the product's rule read negated, so
+    the two orders must give exactly opposite values (undefined matching
+    undefined), or raise the same type of error."""
+
+    SCALAR = (
+        (
+            mk.superpose(mk.Normal(-1.0, 1.0), mk.Normal(1.0, 0.5)),
+            mk.superpose(scale(math.log(0.3), Dirac(0.0)), scale(math.log(0.7), mk.Normal(0.2, 1.3))),
+            LEBESGUE,
+            scale(0.7, LEBESGUE),
+            mk.Normal(0.3, 1.7),
+            Dirac(0.0),
+            mk.Poisson(2.0),
+            COUNTING,
+        ),
+        ((0.0, 0.0), (0.0, 1.5), (-0.7, 2), (3, 0.0)),
+    )
+    PAIR = (
+        (
+            mk.bind(mk.Normal(), lambda x: mk.Normal(x, 1.0)),
+            mk.bind(mk.Exponential(1.3), mk.make_kernel("Poisson", rate="affine:1.2:0.7")),
+            LEB2,
+            mk.power(LEBESGUE, (2,)),
+            mk.product(LEBESGUE, COUNTING),
+        ),
+        (((0.5, 1), (1.0, 2)), ((0.5, 1.5), (-1.0, 0)), ((2, 3), (0.25, 1))),
+    )
+    CHAIN = (
+        (_WALK, mk.power(LEBESGUE, (3,)), mk.power(mk.Normal(), (3,))),
+        (((0.1, -0.2, 0.4), (1.0, 1.5, 0.5)), ((0.0, 0.0, 0.0), (2, -1, 0.25))),
+    )
+
+    @pytest.mark.parametrize("factors, points", [SCALAR, PAIR, CHAIN], ids=["scalar", "pair", "chain"])
+    def test_both_orders_agree(self, factors, points):
+        outcomes = 0
+        values = 0
+        for a in factors:
+            for b in factors:
+                for c in factors:
+                    mu, nu = mk.power(a, (2,)), mk.product(b, c)
+                    for x in points:
+                        f, g = _density_or_error(mu, x, nu), _density_or_error(nu, x, mu)
+                        if isinstance(f, type) or isinstance(g, type):
+                            assert f is g, (mu, nu, x, f, g)
+                        else:
+                            assert f == -g, (mu, nu, x, f, g)
+                            values += 1
+                        outcomes += 1
+        assert values >= outcomes / 4

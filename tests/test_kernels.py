@@ -53,6 +53,11 @@ class TestMakeKernel:
         with pytest.raises(ValueError, match="unknown parameter map"):
             make_kernel("Normal", mu="cube")
 
+    @pytest.mark.parametrize("spec", ["affine:1", "affine:1:2:3"])
+    def test_affine_map_with_the_wrong_number_of_values(self, spec):
+        with pytest.raises(ValueError, match=f"unknown parameter map '{spec}'"):
+            make_kernel("Normal", mu=spec)
+
     def test_purity_gives_structural_equality(self):
         k = make_kernel("Normal", mu="affine:2:1", sigma="const:3")
         assert mk.apply_kernel(k, 0.5) == mk.apply_kernel(k, 0.5)
