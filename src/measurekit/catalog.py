@@ -32,6 +32,14 @@ def _is_count(x) -> bool:
         return False
 
 
+def _as_float(v) -> float:
+    """float(v); an int beyond the float range becomes the infinity of its sign."""
+    try:
+        return float(v)
+    except OverflowError:
+        return _INF if v > 0 else -_INF
+
+
 def log_binomial(n: float, k: float) -> float:
     """log of the (generalized) binomial coefficient C(n, k) via log-gamma."""
     return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
@@ -64,9 +72,9 @@ class Normal(_Law):
 
     def __post_init__(self):
         if type(self.mu) is not float:
-            object.__setattr__(self, "mu", float(self.mu))
+            object.__setattr__(self, "mu", _as_float(self.mu))
         if type(self.sigma) is not float:
-            object.__setattr__(self, "sigma", float(self.sigma))
+            object.__setattr__(self, "sigma", _as_float(self.sigma))
         if not -_INF < self.mu < _INF:
             raise ValueError(f"Normal requires finite mu, got {self.mu}")
         if not 0.0 < self.sigma < _INF:
@@ -126,7 +134,7 @@ class Exponential(_Law):
     rate: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", _as_float(self.rate))
         if not 0.0 < self.rate < _INF:
             raise ValueError(f"Exponential requires finite rate > 0, got {self.rate}")
 
@@ -150,7 +158,7 @@ class Bernoulli(_Law):
     p: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", _as_float(self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"Bernoulli requires 0 <= p <= 1, got {self.p}")
 
@@ -175,7 +183,7 @@ class Poisson(_Law):
     rate: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", _as_float(self.rate))
         if not 0.0 < self.rate < _INF:
             raise ValueError(f"Poisson requires finite rate > 0, got {self.rate}")
 
@@ -183,6 +191,8 @@ class Poisson(_Law):
         if not _is_count(x):
             return -math.inf
         k = float(x)
+        if k >= 1000.0:  # where the terms below cancel at large rates
+            return _poisson_log_pmf(k, self.rate)
         return k * math.log(self.rate) - self.rate - math.lgamma(k + 1.0)
 
     def base_at(self, x) -> MeasureExpr:
@@ -210,7 +220,7 @@ class NegativeBinomial(_Law):
 
     def __post_init__(self):
         FAMILIES["NegativeBinomial"].check(name for name, _ in self.params)
-        params = tuple(sorted((name, float(value)) for name, value in self.params))
+        params = tuple(sorted((name, _as_float(value)) for name, value in self.params))
         object.__setattr__(self, "params", params)
         values = dict(params)
         for name in ("r", "alpha", "beta"):
@@ -245,6 +255,8 @@ class NegativeBinomial(_Law):
             r, scale = a, 1.0 / b
         stream = rng.RandomStream(seed)
         lam = _gamma_draw(stream, r) * scale
+        if not lam < _INF:
+            raise ValueError(f"NegativeBinomial{dict(self.params)} draw overflows: rate {lam}")
         if lam == 0.0:
             return 0
         return _poisson_draw(stream, lam)
@@ -397,15 +409,17 @@ def _poisson_ptrs(stream: rng.RandomStream, rate: float) -> int:
             return k
 
 
-def _poisson_log_pmf(k: int, rate: float) -> float:
+def _poisson_log_pmf(k: float, rate: float) -> float:
     """log(rate^k e^-rate / k!) for k >= 1, by Stirling's series for log k!.
 
     Written about d = k - rate, so its terms do not cancel at large rates
     (k log(rate) - rate - lgamma(k + 1) loses every digit at 1e18).  The
-    series' error is below 1/(1260 k^5).
+    series' error is below 1/(1260 k^5).  Below rate = k/2, where 1 - d/k
+    would cancel (to 0 at a tiny rate), log(rate/k) is a difference of logs.
     """
     d = k - rate
-    return (k * math.log1p(-d / k) + d - _HALF_LOG_TWO_PI - 0.5 * math.log(k)
+    ratio = math.log1p(-d / k) if rate >= 0.5 * k else math.log(rate) - math.log(k)
+    return (k * ratio + d - _HALF_LOG_TWO_PI - 0.5 * math.log(k)
             - (1.0 / 12.0 - 1.0 / (360.0 * k * k)) / k)
 
 

@@ -152,17 +152,16 @@ class Product(_FixedProduct):
         return _coordinatewise(self.children, targets, x)
 
     def reference_class(self):
-        kinds = set()
-        det = 0.0
-        for child in self.children:
-            ref = child.reference_class()
-            if ref is None:
-                return None
-            kinds.add(ref[0])
-            det += ref[1]
-        if len(kinds) != 1:
-            return None
-        return (kinds.pop(), det)
+        return _reference_class(self.children, sum)
+
+
+def _reference_class(measures, combine):
+    """(kind, combine(logscales)) when every measure is a rescaling of one
+    primitive reference ``kind``, else None."""
+    refs = [m.reference_class() for m in measures]
+    if None in refs or len({ref[0] for ref in refs}) != 1:
+        return None
+    return refs[0][0], combine([ref[1] for ref in refs])
 
 
 def _data_sum(factors, x) -> float:
@@ -301,10 +300,7 @@ class Power(MeasureExpr):
             raise ValueError(f"invalid power shape {self.shape!r}")
         if self.child.self_checking:
             object.__setattr__(self, "self_checking", True)
-
-    @property
-    def static_base(self) -> bool:
-        return self.child.static_base
+        object.__setattr__(self, "static_base", self.child.static_base)
 
     def check_point(self, x) -> None:
         _check_shape(x, self.shape, self.child)
@@ -463,10 +459,7 @@ class Superposition(MeasureExpr):
         if len(flat) < 2:
             raise ValueError("Superposition needs at least two components")
         object.__setattr__(self, "components", tuple(flat))
-
-    @property
-    def static_base(self) -> bool:
-        return all(c.static_base for c in self.components)
+        object.__setattr__(self, "static_base", all(c.static_base for c in flat))
 
     def check_point(self, x) -> None:
         for c in self.components:
@@ -504,7 +497,15 @@ class Superposition(MeasureExpr):
     def base_at(self, x) -> MeasureExpr:
         return Superposition(self._bases(x))
 
-    def _componentwise(self, other, x) -> float:
+    def rule_vs(self, other, x) -> Optional[float]:
+        # A sum and its own base relate through the pivot density, read in
+        # both orders, so (base, sum) is the negation of (sum, base).
+        if isinstance(other, Superposition):
+            if other == self.base_at(x):
+                return self.log_density_at(x)
+            if self == other.base_at(x):
+                return -other.log_density_at(x)
+        # Else component by component, dropping the parts unrelated to other.
         parts = []
         for component in self.components:
             try:
@@ -517,17 +518,9 @@ class Superposition(MeasureExpr):
             )
         return _logsumexp(parts)
 
-    def rule_vs(self, other, x) -> Optional[float]:
-        if isinstance(other, Superposition) and other == self.base_at(x):
-            return self.log_density_at(x)
-        return self._componentwise(other, x)
-
     def reference_class(self):
-        refs = [c.reference_class() for c in self.components]
-        if None in refs or len({ref[0] for ref in refs}) != 1:
-            return None
         # A sum of rescalings of one reference is still a rescaling of it.
-        return (refs[0][0], _logsumexp([ref[1] for ref in refs]))
+        return _reference_class(self.components, _logsumexp)
 
     def _masses(self):
         """The components' log masses and their log sum, each mass read once.
@@ -546,19 +539,16 @@ class Superposition(MeasureExpr):
         return self._masses()[1]
 
     def _sample(self, seed: int):
-        # `sample` with each component's mass read once: checked, then picked.
-        masses, total = self._masses()
-        core._require_probability(self, total)
-        return self._pick(masses, total, seed)
+        return self._sample_normalized(seed, core._require_probability)
 
-    def _sample_normalized(self, seed: int):
+    def _sample_normalized(self, seed: int, require=None):
+        """Draw from the component that one uniform picks by cumulative mass;
+        each mass is read once, for the pick and for `sample`'s ``require``."""
         masses, total = self._masses()
-        if masses is None:
+        if require is not None:
+            require(self, total)
+        elif masses is None:
             raise NotProbabilityError("superposition component has unknown mass")
-        return self._pick(masses, total, seed)
-
-    def _pick(self, masses, total, seed):
-        """Draw from the component that one uniform picks by cumulative mass."""
         u = rng.RandomStream(rng.derive_key(seed, 0)).unit()
         cumulative = 0.0
         for chosen, lm in zip(self.components[:-1], masses):
@@ -626,9 +616,8 @@ class PointwiseProduct(MeasureExpr):
     prior: MeasureExpr
     likelihood: Likelihood
 
-    @property
-    def static_base(self) -> bool:
-        return self.prior.static_base
+    def __post_init__(self):
+        object.__setattr__(self, "static_base", self.prior.static_base)
 
     def check_point(self, x) -> None:
         self.prior.check_point(x)
@@ -872,9 +861,8 @@ class Pushforward(MeasureExpr):
     map: AffineMap
     inner: MeasureExpr
 
-    @property
-    def static_base(self) -> bool:
-        return self.inner.static_base
+    def __post_init__(self):
+        object.__setattr__(self, "static_base", self.inner.static_base)
 
     def check_point(self, x) -> None:
         try:

@@ -242,9 +242,9 @@ class MeasureExpr:
     point, whether it equals another node and whether its rule hooks fire,
     its `unfold` must give exactly (`log_density_at`, `base_at`), and it is
     never ``self_checking`` (the nodes that check as they evaluate build
-    their factors from the point, and a container inherits both flags from
-    its children).  The engine relies on this: it
-    walks a pair of static-base measures with `_recurse`, the reference
+    their factors from the point).  A container that takes a flag from its
+    children sets it once, in ``__post_init__``.  The engine relies on this:
+    it walks a pair of static-base measures with `_recurse`, the reference
     walk, and on the second call memoises the walk's plan on the source node
     (``_plans``, an instance attribute that is no dataclass field), so later
     points only re-run the recorded data terms and the rule that ended the
@@ -327,8 +327,8 @@ class MeasureExpr:
     def fixed_pair_rule(self, other: "MeasureExpr", x) -> Optional[float]:
         """Last-resort rule between two base-chain fixed points.
 
-        Consulted only when scalar classification fails; lets structured
-        fixed points (powers of atoms, for instance) split coordinatewise.
+        Read on the source side only, when scalar classification fails; lets
+        structured fixed points (powers of atoms) split coordinatewise.
         """
         return None
 
@@ -698,9 +698,6 @@ def _fixed_point_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
         rule = mu.fixed_pair_rule(nu, x)
         if rule is not None:
             return rule
-        rule = nu.fixed_pair_rule(mu, x)
-        if rule is not None:
-            return -rule
     raise UnrelatedPrimitivesError(f"unrelated primitive measures: {mu!r} vs {nu!r}")
 
 

@@ -320,3 +320,69 @@ class TestNonFiniteParameters:
     def test_rejected_at_construction(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+def _dec_poisson_logpmf(k, rate):
+    """k log(rate) - rate - log k! in 60-digit Decimal, with log k! from
+    Stirling's series to the k^-7 term (error below 1e-24 for k >= 1000)."""
+    from decimal import Decimal
+
+    from oracles import HALF_LOG_TWO_PI
+
+    k, rate = Decimal(k), Decimal(repr(rate))
+    log_fact = ((k + Decimal("0.5")) * k.ln() - k + HALF_LOG_TWO_PI + 1 / (12 * k)
+                - 1 / (360 * k ** 3) + 1 / (1260 * k ** 5) - 1 / (1680 * k ** 7))
+    return float(k * rate.ln() - rate - log_fact)
+
+
+class TestPoissonAtLargeCounts:
+    """From k = 1000 on, the log-pmf is written about k - rate, whose terms do
+    not cancel at large rates; below, it keeps its bits."""
+
+    def test_rate_1e18_at_its_mean(self):
+        got = log_density(mk.Poisson(1e18), 10**18, wrt=COUNTING)
+        assert got.value == pytest.approx(-21.6422043701511, abs=1e-12)
+
+    @pytest.mark.parametrize("k, rate", [
+        (1000, 1000.0), (1000, 3.0), (1000, 0.5), (1000, 1e-300), (1000, 1e6), (1000, 1e300),
+        (2000, 999.0), (2000, 1001.0), (5000, 4000.0), (100_000, 100_000.0),
+        (100_000, 99_000.0), (10**9, 3.0), (10**18, 1e18), (10**18 + 4096, 1e18),
+    ])
+    def test_matches_a_high_precision_oracle(self, k, rate):
+        want = _dec_poisson_logpmf(k, rate)
+        got = log_density(mk.Poisson(rate), k, wrt=COUNTING).value
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-13)
+
+    def test_counts_below_1000_keep_their_bits(self):
+        for rate in (0.5, 3.0, 480.0, 520.0, 1e5, 1e18):
+            for k in (0, 1, 7, 500, 999):
+                want = k * math.log(rate) - rate - math.lgamma(k + 1.0)
+                assert log_density(mk.Poisson(rate), k).value == want
+
+
+class TestIntegerParametersBeyondTheFloatRange:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: mk.Poisson(10**400), "Poisson requires finite rate > 0, got inf"),
+        (lambda: mk.Normal(10**400, 1), "Normal requires finite mu, got inf"),
+        (lambda: mk.Normal(-10**400, 1), "Normal requires finite mu, got -inf"),
+        (lambda: mk.Normal(0, 10**400), "Normal requires finite sigma > 0, got inf"),
+        (lambda: mk.Bernoulli(10**400), r"Bernoulli requires 0 <= p <= 1, got inf"),
+        (lambda: mk.Exponential(10**400), "Exponential requires finite rate > 0, got inf"),
+        (lambda: mk.make_negbinomial(r=10**400, p=0.5), "NegativeBinomial requires finite r > 0, got inf"),
+        (lambda: mk.make_negbinomial(alpha=2, beta=10**400),
+         "NegativeBinomial requires finite beta > 0, got inf"),
+    ])
+    def test_rejected_with_the_documented_error(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_ints_in_the_float_range_are_kept(self):
+        assert mk.Poisson(10**300).rate == 1e300
+        assert mk.Normal(3, 2) == mk.Normal(3.0, 2.0)
+
+
+class TestNegativeBinomialDrawOverflow:
+    def test_a_gamma_rate_beyond_the_float_range_names_the_parameters(self):
+        m = mk.make_negbinomial(r=1e300, p=1e-10)
+        with pytest.raises(ValueError, match=r"NegativeBinomial\{'p': 1e-10, 'r': 1e\+300\} draw overflows"):
+            sample(m, 1)

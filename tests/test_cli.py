@@ -566,3 +566,18 @@ class TestSubprocessInvocation:
         )
         assert result.returncode == 0
         assert result.stdout == "0\n"
+
+
+class TestParametersBeyondTheFloatRange:
+    def test_a_401_digit_poisson_rate_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "poisson.json"
+        path.write_text('{"Poisson": {"rate": %s}}' % ("1" + "0" * 400))
+        code, out, err = run(capsys, ["sample", "--expr", str(path), "--seed", "1"])
+        assert code == 1 and out == ""
+        assert "at $.Poisson: Poisson requires finite rate > 0, got inf" in err
+
+    def test_an_overflowing_negative_binomial_draw_exits_1(self, tmp_path, capsys):
+        expr = write_doc(tmp_path, "nb", {"NegativeBinomial": {"r": 1e300, "p": 1e-10}})
+        code, out, err = run(capsys, ["sample", "--expr", expr, "--seed", "1"])
+        assert code == 1 and out == ""
+        assert "NegativeBinomial{'p': 1e-10, 'r': 1e+300} draw overflows" in err
