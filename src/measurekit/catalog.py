@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional, Set, Tuple
 
 from . import rng
-from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _is_scalar
+from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _as_float, _is_scalar
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _INF = math.inf
@@ -30,14 +30,6 @@ def _is_count(x) -> bool:
         return _is_scalar(x) and x >= 0 and float(x) == math.floor(x)
     except OverflowError:  # inf, or an int too large for a float
         return False
-
-
-def _as_float(v) -> float:
-    """float(v); an int beyond the float range becomes the infinity of its sign."""
-    try:
-        return float(v)
-    except OverflowError:
-        return _INF if v > 0 else -_INF
 
 
 def log_binomial(n: float, k: float) -> float:
@@ -235,14 +227,12 @@ class NegativeBinomial(_Law):
         y = float(x)
         (first, a), (_, b) = self.params
         if first == "p":
-            p, r = a, b
-            return log_binomial(y + r - 1.0, r - 1.0) + r * math.log(p) + y * math.log1p(-p)
-        alpha, beta = a, b
-        return (
-            log_binomial(y + alpha - 1.0, alpha - 1.0)
-            + alpha * (math.log(beta) - math.log1p(beta))
-            - y * math.log1p(beta)
-        )
+            r, log_p, log_q = b, math.log(a), math.log1p(-a)
+        else:
+            r, log_p, log_q = a, math.log(b) - math.log1p(b), -math.log1p(b)
+        if y > 0.0 and y + r >= 1000.0:  # where the lgamma terms below cancel
+            return _negbin_log_pmf(y, r, math.exp(log_p), math.exp(log_q))
+        return log_binomial(y + r - 1.0, r - 1.0) + r * log_p + y * log_q
 
     def base_at(self, x) -> MeasureExpr:
         return COUNTING
@@ -410,17 +400,35 @@ def _poisson_ptrs(stream: rng.RandomStream, rate: float) -> int:
 
 
 def _poisson_log_pmf(k: float, rate: float) -> float:
-    """log(rate^k e^-rate / k!) for k >= 1, by Stirling's series for log k!.
+    """log(rate^k e^-rate / k!) for k >= 1, written with `_stirlerr` and
+    `_bd0` about k - rate, so its terms do not cancel at large rates
+    (k log(rate) - rate - lgamma(k + 1) loses every digit at 1e18)."""
+    return -_stirlerr(k) - _bd0(k, rate) - 0.5 * math.log(2.0 * math.pi * k)
 
-    Written about d = k - rate, so its terms do not cancel at large rates
-    (k log(rate) - rate - lgamma(k + 1) loses every digit at 1e18).  The
-    series' error is below 1/(1260 k^5).  Below rate = k/2, where 1 - d/k
-    would cancel (to 0 at a tiny rate), log(rate/k) is a difference of logs.
-    """
-    d = k - rate
-    ratio = math.log1p(-d / k) if rate >= 0.5 * k else math.log(rate) - math.log(k)
-    return (k * ratio + d - _HALF_LOG_TWO_PI - 0.5 * math.log(k)
-            - (1.0 / 12.0 - 1.0 / (360.0 * k * k)) / k)
+
+def _negbin_log_pmf(y: float, r: float, p: float, q: float) -> float:
+    """log NB(y; r, p) for y >= 1, with q = 1 - p, as Loader's saddle-point
+    form of log(r/n) + log Binomial(r; n, p), n = y + r, so no two large
+    terms cancel at a large y or r."""
+    n = y + r
+    return (math.log(r / n) + _stirlerr(n) - _stirlerr(r) - _stirlerr(y)
+            - _bd0(r, n * p) - _bd0(y, n * q) - 0.5 * math.log(2.0 * math.pi * r * y / n))
+
+
+def _stirlerr(n: float) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n > 0: Stirling's series from
+    n = 15 on (error below 1/(1188 n^9)), directly below."""
+    if n < 15.0:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_TWO_PI
+    nn = n * n
+    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * nn)) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x for x, m > 0, with log(x/m) as log1p((x - m)/m)
+    near x = m and as a difference of logs far from it."""
+    d = x - m
+    return x * (math.log1p(d / m) if abs(d) < 0.5 * m else math.log(x) - math.log(m)) - d
 
 
 def _gamma_draw(stream: rng.RandomStream, shape: float) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import islice, repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
 
@@ -28,10 +27,10 @@ from .core import (
     MeasureExpr,
     NotProbabilityError,
     ShapeError,
-    UnrelatedPrimitivesError,
     Weighted,
+    _as_float,
     _log_density,
-    _logaddexp,
+    _logsumexp,
 )
 
 
@@ -151,17 +150,14 @@ class Product(_FixedProduct):
             self._check_length(x)
         return _coordinatewise(self.children, targets, x)
 
+    fixed_pair_rule = rule_vs
+
     def reference_class(self):
-        return _reference_class(self.children, sum)
-
-
-def _reference_class(measures, combine):
-    """(kind, combine(logscales)) when every measure is a rescaling of one
-    primitive reference ``kind``, else None."""
-    refs = [m.reference_class() for m in measures]
-    if None in refs or len({ref[0] for ref in refs}) != 1:
-        return None
-    return refs[0][0], combine([ref[1] for ref in refs])
+        # A rescaling of one primitive reference when every factor is.
+        refs = [m.reference_class() for m in self.children]
+        if None in refs or len({ref[0] for ref in refs}) != 1:
+            return None
+        return refs[0][0], sum(ref[1] for ref in refs)
 
 
 def _data_sum(factors, x) -> float:
@@ -328,9 +324,8 @@ class Power(MeasureExpr):
         return (ref[0], _shape_size(self.shape) * ref[1])
 
     def fixed_pair_rule(self, other, x) -> Optional[float]:
-        # Coordinatewise split once both chains are stuck (powers of atoms
-        # against structured references the scalar classification misses).
-        # Against a Product, a Product rule ends every walk before this one.
+        # Coordinatewise split of a root part of no class (a power of atoms)
+        # against a power of the same shape; a Product answers by its rule.
         if not (isinstance(other, Power) and other.shape == self.shape):
             return None
         return _coordinatewise(repeat(self.child), repeat(other.child), _flat(x, self.shape))
@@ -425,27 +420,16 @@ def bind(mu: MeasureExpr, kernel) -> Bind:
 # ---------------------------------------------------------------------------
 
 
-def _logsumexp(values) -> float:
-    """log of the sum of e^v, folded pairwise from the left.
-
-    Two values give exactly `_logaddexp`, so two-component sums keep their
-    bits.
-    """
-    return reduce(_logaddexp, values)
-
-
 @dataclass(frozen=True)
 class Superposition(MeasureExpr):
     """Sum of two or more measures (the measure-theoretic mixture).
 
-    Against an external target the log-density is the logsumexp of the
-    component log-densities.  Against its own base, the sum of the component
-    bases b_i, it is logsumexp(f_i + r_i) - logsumexp(r_i), where r_i is the
-    log-density of b_i against a pivot base.  The pivot is one that no base
-    dominates infinitely at the point (the slab, not the atom, off a
-    spike-and-slab's atom), so no inf - inf arises; when the bases coincide
-    this reduces to logsumexp(f_i) - log K.  At the atom of a spike-and-slab
-    the density wrt Lebesgue is Undefined (neither side locally dominates).
+    A walk that reaches a sum, at the top of either side or down a chain,
+    reads the density of the two measures it started from through one local
+    reference from their roots (`core._local_rule`), and so does the sum
+    against its own base (the sum of the component bases).  Against Lebesgue
+    measure it is the logsumexp of the component densities; at the atom of
+    a spike-and-slab it is Undefined (neither side locally dominates).
     """
 
     components: Tuple[MeasureExpr, ...]
@@ -465,62 +449,26 @@ class Superposition(MeasureExpr):
         for c in self.components:
             c.check_point(x)
 
-    #: The components' bases, kept on first use when none depends on the
+    #: The base, kept on first use when no component's base depends on the
     #: point, so later calls walk between the same nodes and replay their
     #: plans.  An instance attribute, not a field: `==` and `repr` skip it.
-    _kept_bases = None
-
-    def _bases(self, x):
-        bases = self._kept_bases
-        if bases is None:
-            bases = tuple(c.base_at(x) for c in self.components)
-            if self.static_base:
-                object.__setattr__(self, "_kept_bases", bases)
-        return bases
-
-    def log_density_at(self, x) -> float:
-        bases = self._bases(x)
-        pivot = bases[-1]
-        # A base that dominates the pivot infinitely becomes the pivot.  The
-        # bases that dominate it dominated the old pivot too, so at most K
-        # pivots are tried.  A NaN ratio propagates to the result.
-        for _ in bases:
-            ratios = [
-                0.0 if b is pivot or b == pivot else _log_density(b, x, pivot) for b in bases
-            ]
-            if math.inf not in ratios:
-                terms = [c.log_density_at(x) + r for c, r in zip(self.components, ratios)]
-                return _logsumexp(terms) - _logsumexp(ratios)
-            pivot = bases[ratios.index(math.inf)]
-        return math.nan
+    _kept_base = None
 
     def base_at(self, x) -> MeasureExpr:
-        return Superposition(self._bases(x))
+        base = self._kept_base
+        if base is None:
+            base = Superposition(tuple(c.base_at(x) for c in self.components))
+            if self.static_base:
+                object.__setattr__(self, "_kept_base", base)
+        return base
 
-    def rule_vs(self, other, x) -> Optional[float]:
-        # A sum and its own base relate through the pivot density, read in
-        # both orders, so (base, sum) is the negation of (sum, base).
-        if isinstance(other, Superposition):
-            if other == self.base_at(x):
-                return self.log_density_at(x)
-            if self == other.base_at(x):
-                return -other.log_density_at(x)
-        # Else component by component, dropping the parts unrelated to other.
-        parts = []
-        for component in self.components:
-            try:
-                parts.append(_log_density(component, x, other))
-            except UnrelatedPrimitivesError:
-                pass
-        if not parts:
-            raise UnrelatedPrimitivesError(
-                f"no component of {self!r} is locally expressible against {other!r}"
-            )
-        return _logsumexp(parts)
+    def log_density_at(self, x) -> float:
+        return core._local_rule(self, self.base_at(x), x)
 
-    def reference_class(self):
-        # A sum of rescalings of one reference is still a rescaling of it.
-        return _reference_class(self.components, _logsumexp)
+    is_sum = True
+
+    def _summands(self) -> tuple:
+        return self.components
 
     def _masses(self):
         """The components' log masses and their log sum, each mass read once.
@@ -571,16 +519,21 @@ def superpose(*measures: MeasureExpr) -> Superposition:
 def scale(logw, mu: MeasureExpr) -> MeasureExpr:
     """Reweight mu by the constant exp(logw).
 
-    scale(0, mu) is mu itself and nested scalings collapse additively, so
-    scale(a, scale(b, mu)) == scale(a + b, mu) structurally.
+    scale(0, mu) is mu itself and nested scalings collapse additively, to
+    the inner measure when they cancel, so scale(a, scale(b, mu)) ==
+    scale(a + b, mu) structurally.  A sum is scaled summand by summand, so
+    sums stay outermost.
     """
     w = core._to_float(logw)
     if w != w or w == math.inf:
-        raise ValueError(f"invalid scaling weight {logw!r}")
+        raise ValueError(f"invalid scaling weight {w!r}")
     if w == 0.0:
         return mu
+    if isinstance(mu, Superposition):
+        return Superposition(tuple(scale(w, c) for c in mu.components))
     if isinstance(mu, Weighted):
-        return Weighted(w + mu.logweight, mu.base)
+        w += mu.logweight
+        return mu.base if w == 0.0 else Weighted(w, mu.base)
     return Weighted(w, mu)
 
 
@@ -713,7 +666,7 @@ def integrate_exp(log_f: Callable[[Any], float], nu: MeasureExpr) -> IntegralMea
 
 
 def _as_matrix(m):
-    return tuple(tuple(float(v) for v in row) for row in m)
+    return tuple(tuple(_as_float(v) for v in row) for row in m)
 
 
 def _check_lower_triangular(m):
@@ -782,14 +735,17 @@ class AffineMap:
             off = self.offset
             if not isinstance(off, (tuple, list)) or len(off) != len(m):
                 raise ValueError("affine offset does not match the factor dimension")
-            object.__setattr__(self, "factor", m)
-            object.__setattr__(self, "offset", tuple(float(v) for v in off))
+            off = tuple(_as_float(v) for v in off)
+            values = [v for row in m for v in row] + list(off)
         else:
-            f = float(self.factor)
-            if not f > 0.0:
+            m, off = _as_float(self.factor), _as_float(self.offset)
+            if not m > 0.0:
                 raise ValueError(f"affine factor must be positive, got {self.factor!r}")
-            object.__setattr__(self, "factor", f)
-            object.__setattr__(self, "offset", float(self.offset))
+            values = [m, off]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"affine map must be finite, got factor {m!r}, offset {off!r}")
+        object.__setattr__(self, "factor", m)
+        object.__setattr__(self, "offset", off)
 
     @property
     def is_matrix(self) -> bool:
@@ -853,9 +809,10 @@ class Pushforward(MeasureExpr):
     """Image of a measure under an invertible affine map.
 
     The log-density against its own (transformed) base has no determinant
-    factor; the determinant enters only through the fixed-point rule when the
-    density is taken across the transform against an untransformed Lebesgue
-    reference, and is absent when the inner reference is purely atomic.
+    factor; the determinant enters only through the local rule, as the log
+    scale of the root's Lebesgue class, when the density is taken across the
+    transform against an untransformed Lebesgue reference, and is absent when
+    the inner reference is purely atomic.
     """
 
     map: AffineMap
@@ -896,10 +853,14 @@ class Pushforward(MeasureExpr):
 def pushforward(t: AffineMap, mu: MeasureExpr) -> MeasureExpr:
     """Pushforward of mu through the affine map t.
 
-    Dirac measures are transported directly to their image atom.
+    Dirac measures are transported directly to their image atom, and a sum
+    summand by summand.
     """
+    if isinstance(mu, Superposition):
+        return Superposition(tuple(pushforward(t, c) for c in mu.components))
     if isinstance(mu, Dirac):
-        return Dirac(t.from_source(mu.atom))
+        atom = mu.atom  # as floats, so an int beyond their range is an infinity
+        return Dirac(t.from_source(tuple(map(_as_float, atom)) if t.is_matrix else _as_float(atom)))
     if isinstance(mu, Weighted):
         return Weighted(mu.logweight, pushforward(t, mu.base))
     return Pushforward(t, mu)

@@ -5,9 +5,13 @@ near a point (`base_at`) and its own log-density against that base
 (`log_density_at`, the data-dependent terms).  The log-density between two
 arbitrary measures is computed by `log_density(mu, x, wrt=nu)`: telescope both
 base-measure chains until the nodes coincide structurally, a direct rule
-applies (either node's `rule_vs`, the target's read negated), or two chain
-fixed points are reached.  Primitive measures (Lebesgue, counting, Dirac) are
-their own base measures and terminate every chain.
+applies (either node's `rule_vs`, the target's read negated), a sum is
+reached, or two chain fixed points are.  Primitive measures (Lebesgue,
+counting, Dirac) are their own base measures and terminate every chain.  The
+last two cases meet through one local reference read from both roots
+(`_local_rule`): counting measure where either puts an atom at x, else
+Lebesgue measure; a walk that reaches a sum, on either side, applies it to
+the two measures it started from, so both orders end at the same rule.
 
 Inside the engine every log-density is a plain float: -inf when the left
 measure vanishes locally but the right does not, +inf in the reverse case,
@@ -22,7 +26,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from functools import reduce
+from typing import Any, NamedTuple, Optional, Tuple
 
 from . import rng
 
@@ -165,8 +170,16 @@ def _to_float(v) -> float:
     if isinstance(v, LogWeight):
         return v.value if v.defined else math.nan
     if isinstance(v, numbers.Real):
-        return float(v)
+        return _as_float(v)
     raise TypeError(f"cannot interpret {v!r} as a log weight")
+
+
+def _as_float(v) -> float:
+    """float(v); an int beyond the float range becomes the infinity of its sign."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -181,6 +194,15 @@ def _logaddexp(a: float, b: float) -> float:
         return math.inf
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
+
+
+def _logsumexp(values) -> float:
+    """log of the sum of e^v, folded pairwise from the left.
+
+    Two values give exactly `_logaddexp`, so two-component sums keep their
+    bits.
+    """
+    return reduce(_logaddexp, values)
 
 
 def logaddexp(a, b) -> LogWeight:
@@ -319,18 +341,32 @@ class MeasureExpr:
 
         A recognizable fixed point equals exp(logscale) times a primitive
         reference; the return value is ("lebesgue" | "counting", logscale).
-        Returns None when the node is not a recognizable reference, in which
-        case an unmatched fixed-point pair raises.
+        None when the node is no rescaling of one primitive reference; the
+        local rule then knows it only as itself (see `_local_rule`).
         """
         return None
 
     def fixed_pair_rule(self, other: "MeasureExpr", x) -> Optional[float]:
-        """Last-resort rule between two base-chain fixed points.
+        """Rule between two root parts, one of them of no reference class.
 
-        Read on the source side only, when scalar classification fails; lets
-        structured fixed points (powers of atoms) split coordinatewise.
+        The local rule reads it on either side, negated on the second, to
+        relate such a part (a power of atoms, a product of different
+        classes) to a reference; structured parts split coordinatewise.
         """
         return None
+
+    #: True for a sum.  A walk that reaches a sum on either side, at its top
+    #: or down a chain, ends by the local rule between the two measures it
+    #: started from, so both orders end at the same rule.
+    is_sum = False
+
+    def _summands(self) -> tuple:
+        """The measures this one is the sum of: itself, unless it is a sum."""
+        return (self,)
+
+    #: `_local` of a static-base node, kept on first use.  An instance
+    #: attribute, not a field: `==` and `repr` skip it.
+    _kept_local = None
 
     # Mass and sampling -----------------------------------------------------
 
@@ -351,6 +387,10 @@ class _Primitive(MeasureExpr):
     """A primitive measure: its own base, so every base chain ends at one."""
 
     static_base = True
+    _kind = None  # the reference class of Lebesgue and counting measure
+
+    def reference_class(self):
+        return None if self._kind is None else (self._kind, 0.0)
 
     def log_density_at(self, x) -> float:
         return 0.0
@@ -363,16 +403,14 @@ class _Primitive(MeasureExpr):
 class Lebesgue(_Primitive):
     """Length/volume on the real line; a primitive measure."""
 
-    def reference_class(self):
-        return ("lebesgue", 0.0)
+    _kind = "lebesgue"
 
 
 @dataclass(frozen=True)
 class Counting(_Primitive):
     """Unit mass on every point of a countable carrier; a primitive measure."""
 
-    def reference_class(self):
-        return ("counting", 0.0)
+    _kind = "counting"
 
 
 @dataclass(frozen=True)
@@ -419,7 +457,7 @@ class Weighted(MeasureExpr):
     def __post_init__(self):
         w = self.logweight
         if type(w) is not float:
-            w = float(w)
+            w = _as_float(w)
         if math.isnan(w) or w == math.inf:
             raise ValueError(f"invalid log weight {self.logweight!r}")
         if w is not self.logweight:
@@ -472,14 +510,11 @@ def root_measure(m: MeasureExpr, x) -> MeasureExpr:
     Raises DepthError when m is nested too deeply to evaluate.
     """
     try:
-        for _ in range(_MAX_CHAIN_STEPS):
-            base = base_measure(m, x)
-            if base is m or base == m:
-                return m
-            m = base
+        if not m.self_checking:
+            m.check_point(x)
+        return _chain(m, x)[-1]
     except RecursionError:
         raise DepthError(_TOO_DEEP) from None
-    raise RuntimeError("base-measure chain did not terminate")
 
 
 def log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> LogWeight:
@@ -545,7 +580,8 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
     # swapped walk stops too.  So when one measure lies on the other's base
     # chain, only the other side is stepped, in either argument order.
     # At each pair `_rule` asks mu's rule, then nu's negated, so a walk that
-    # a rule ends is antisymmetric too.
+    # a rule ends is antisymmetric too; a walk that reaches a sum, wherever
+    # it reaches it, ends by the local rule of the two top measures.
     # A walk that ends other than by a NaN exit appends its plan to ``plan``.
     top_mu, top_nu = mu, nu
     # Self-checking sides are validated by their first unfold or by a rule
@@ -563,6 +599,8 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
                     nu_pending = False  # equal measures share one check
                 end = len(nodes)
                 return (num - den) + 0.0
+            if mu.is_sum or nu.is_sum:
+                break
             rule = _rule(mu, nu, x)
             if rule is not None:
                 end = rule[1]
@@ -581,11 +619,18 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
         else:
             raise RuntimeError("base-measure recursion did not terminate")
         for _ in range(_MAX_CHAIN_STEPS):
+            if mu.is_sum or nu.is_sum:
+                # Both orders end here, by the local rule of the tops, which
+                # reads their chains itself: the plan keeps no step.
+                del nodes[:], targets[:]
+                end = (_local_rule, top_mu, top_nu)
+                mu_pending = nu_pending = False
+                return 0.0 + _local_rule(top_mu, top_nu, x)
             step = nu.unfold(x)
             nu_pending = False
             if step is None:
-                end = (_fixed_point_rule, mu, nu)
-                return (num - den) + _fixed_point_rule(mu, nu, x)
+                end = (_local_rule, mu, nu)
+                return (num - den) + _local_rule(mu, nu, x)
             targets.append(nu)
             den += step[0]
             nu = step[1]
@@ -672,33 +717,231 @@ def _replay(plan, mu, x) -> float:
     return (num - den) + end(mu if a is None else a, mu if b is None else b, x)
 
 
-def _fixed_point_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
-    """Density between two base-chain fixed points.
+# ---------------------------------------------------------------------------
+# The local reference
+# ---------------------------------------------------------------------------
 
-    Structural equality was already ruled out by the caller.  Raises
-    UnrelatedPrimitivesError when the two are unrelated.
+
+class _Part(NamedTuple):
+    """A summand near x, read from the root its base chain ends at."""
+
+    rest: Optional[tuple]  # the chain after the summand, root excluded; None at a root
+    scales: dict  # log scale of the root's parts, by reference class
+    atoms: tuple  # the atoms of the root's Diracs
+    loose: tuple  # the root's parts of no class; None stands for the measure itself
+
+
+class _Local(NamedTuple):
+    """A measure near x as the sum of its summands, and what their roots hold."""
+
+    parts: tuple  # one _Part per summand
+    classes: frozenset
+    atoms: tuple
+    loose: tuple
+    walks: bool  # whether a summand is no root
+    fixed: Optional[dict]  # else, without atoms or loose parts: log d(m)/d(class) by class
+
+
+def _chain(m: MeasureExpr, x) -> list:
+    """m's base chain at x, from m to the root it ends at."""
+    chain = [m]
+    for _ in range(_MAX_CHAIN_STEPS):
+        base = m.base_at(x)
+        if base is m or base == m:
+            return chain
+        chain.append(base)
+        m = base
+    raise RuntimeError("base-measure chain did not terminate")
+
+
+def _local(m: MeasureExpr, x) -> _Local:
+    """m near x, read from its summands' roots.  Kept on a static-base m,
+    whose roots do not depend on x, so each root is found once."""
+    kept = m._kept_local
+    if kept is None:
+        parts = []
+        for summand in m._summands():
+            chain = _chain(summand, x)
+            scales, atoms, loose = {}, [], []
+            for p in chain.pop()._summands():
+                ref = p.reference_class()
+                if isinstance(p, Dirac):
+                    atoms.append(p.atom)
+                elif ref is None:
+                    loose.append(None if p is m else p)
+                else:
+                    scales[ref[0]] = _logaddexp(scales.get(ref[0], -math.inf), ref[1])
+            rest = tuple(chain[1:]) if chain else None
+            parts.append(_Part(rest, scales, tuple(atoms), tuple(loose)))
+        classes = frozenset(k for p in parts for k in p.scales)
+        atoms, loose = tuple(a for p in parts for a in p.atoms), tuple(u for p in parts for u in p.loose)
+        walks = any(p.rest is not None for p in parts)
+        fixed = None if walks or atoms or loose else {
+            k: _logsumexp([p.scales[k] for p in parts if k in p.scales]) for k in classes}
+        kept = _Local(tuple(parts), classes, atoms, loose, walks, fixed)
+        if m.static_base:
+            object.__setattr__(m, "_kept_local", kept)
+    return kept
+
+
+def _local_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
+    """d(mu)/d(nu) at x through one local reference rho read from both roots:
+    the end of a walk that reaches a sum (taken between the measures it
+    started from), and of one that reaches two base-chain fixed points.
+
+    rho is counting measure if either root puts an atom at x (a part of
+    counting class, or a Dirac at x), else Lebesgue measure if a part is of
+    its class, else the first by repr of the parts of no class.  The result
+    is A - B, the log sums of d(summand)/d(rho) over each side's summands
+    with mass of rho's class (`_terms`), so the two orders are exact
+    negations; when both sides walk chains, both sums are taken less their
+    largest term and the data terms they share (`_shifted`), so the digits
+    those would carry are kept.  If one side has no such summand, the
+    primitive table answers: undefined if the other has an atom at x, or is
+    undefined itself, +inf against Diracs elsewhere, else
+    UnrelatedPrimitivesError, which names both roots.
     """
-    if isinstance(mu, Dirac) and isinstance(nu, Dirac):
-        # Distinct atoms: neither measure dominates the other anywhere.
-        return math.nan
-    if isinstance(mu, Dirac):
-        ref = nu.reference_class()
-        if ref is not None:
-            if ref[0] == "counting":
-                return -ref[1] if x == mu.atom else -math.inf
-            return math.nan if x == mu.atom else -math.inf
-    elif isinstance(nu, Dirac):
-        return -_fixed_point_rule(nu, mu, x)
+    left, right = _local(mu, x), _local(nu, x)
+    if ("counting" in left.classes or "counting" in right.classes
+            or x in left.atoms or x in right.atoms):
+        rho = "counting"
+    elif ("lebesgue" in left.classes or "lebesgue" in right.classes
+            or not (left.loose or right.loose)):
+        rho = "lebesgue"
     else:
-        mu_ref = mu.reference_class()
-        nu_ref = nu.reference_class()
-        if mu_ref is not None and nu_ref is not None and mu_ref[0] == nu_ref[0]:
-            # Both sides are rescalings of the same primitive reference.
-            return mu_ref[1] - nu_ref[1]
-        rule = mu.fixed_pair_rule(nu, x)
-        if rule is not None:
-            return rule
-    raise UnrelatedPrimitivesError(f"unrelated primitive measures: {mu!r} vs {nu!r}")
+        rho = min([mu if u is None else u for u in left.loose]
+                  + [nu if u is None else u for u in right.loose], key=repr)
+    if left.fixed is not None and right.fixed is not None and (
+            rho in left.fixed and rho in right.fixed):
+        return left.fixed[rho] - right.fixed[rho]  # two sums of roots: the terms as kept
+    # When both sides walk chains, each term's (summand, rest) is noted too.
+    walked_a, walked_b = ([], []) if left.walks and right.walks else (None, None)
+    a = _terms(mu, left, nu, right, rho, x, walked_a)
+    b = _terms(nu, right, mu, left, rho, x, walked_b)
+    if a and b:
+        if walked_a is None:
+            return _logsumexp(a) - _logsumexp(b)
+        # Less the largest term, and less the data terms both sides share.
+        top = max(max(a), max(b))
+        top = top if math.isfinite(top) else 0.0
+        return (_logsumexp(_shifted(a, walked_a, b, walked_b, top, x))
+                - _logsumexp(_shifted(b, walked_b, a, walked_a, top, x)))
+    if not (a or b):
+        return math.nan  # neither side has mass of rho's class at x
+    full, other, value, sign = (left, right, _logsumexp(a), 1.0) if a else (
+        right, left, _logsumexp(b), -1.0)
+    if x in full.atoms or value != value:
+        return math.nan  # undefined wins over unrelated
+    if other.atoms:
+        return sign * (value + math.inf)
+    raise _unrelated(mu, nu, x, rho)
+
+
+def _terms(m, local, other, other_local, rho, x, walked) -> list:
+    """log d(summand)/d(rho) for each summand of m with mass of rho's class
+    at x: its data terms down to its root, plus the log scale of the root's
+    parts of the class; each one's (summand, rest) goes to ``walked`` unless
+    that is None.  A summand without any is skipped without a walk.  A part
+    of no class counts by `fixed_pair_rule` against a part that is a
+    rescaling of rho, found on m's side if it has one."""
+    terms, witness = [], None
+    for summand, (rest, scales, atoms, loose) in zip(m._summands(), local.parts):
+        scale = scales.get(rho)
+        if atoms and rho == "counting" and x in atoms:
+            count = math.log(atoms.count(x))
+            scale = count if scale is None else _logaddexp(scale, count)
+        for u in loose:
+            u = m if u is None else u
+            if u == rho:
+                w = 0.0
+            else:
+                if witness is None:
+                    witness = _witness(m, local, rho, x) or _witness(other, other_local, rho, x)
+                    if witness is None:
+                        raise _unrelated(m, other, x, rho)
+                part, part_scale = witness
+                w = _pair(u, part, x) + part_scale
+            scale = w if scale is None else _logaddexp(scale, w)
+        if scale is not None:
+            term = 0.0
+            if rest is not None:
+                term += summand.log_density_at(x)
+                for node in rest:
+                    term += node.log_density_at(x)
+            term += scale
+        elif rest is not None and not m.is_sum:
+            # m whole, which a walk in the other order steps down to a sum or
+            # its root first: data there that is undefined, or vanishes, ends
+            # that walk, and so is its term here.
+            term, rest = _above_a_sum(m, rest, x), None
+            if term == term and term != -math.inf:
+                continue
+        else:
+            continue
+        terms.append(term)
+        if walked is not None:
+            walked.append((summand, rest))
+    return terms
+
+
+def _above_a_sum(m: MeasureExpr, rest: tuple, x) -> float:
+    """The data terms of m's chain, m first, down to its first sum or root."""
+    data = 0.0
+    for node in (m, *rest):
+        if node.is_sum:
+            break
+        data += node.log_density_at(x)
+    return data
+
+
+def _shifted(terms, walked, others, others_walked, top: float, x) -> list:
+    """Each term less top.  A summand whose chain passes through a summand
+    of the other side, of term t, gives its data terms above that one plus
+    (t - top), so the data terms the two sides share cancel exactly."""
+    below = {id(s): t - top for t, (s, rest) in zip(others, others_walked) if rest is not None}
+    out = []
+    for t, (summand, rest) in zip(terms, walked):
+        value = t - top
+        if rest:
+            data = 0.0
+            for node in (summand, *rest):
+                if id(node) in below:
+                    value = data + below[id(node)]
+                    break
+                data += node.log_density_at(x)
+        out.append(value)
+    return out
+
+
+def _witness(m, local, rho, x):
+    """(part, log scale) of a root part that is exp(log scale) times rho:
+    rho itself if it is no class, else the first part of class rho of m's
+    roots; None if m has none."""
+    if not isinstance(rho, str):
+        return rho, 0.0
+    for summand, part in zip(m._summands(), local.parts):
+        if rho in part.scales:
+            for p in _chain(summand, x)[-1]._summands():
+                ref = p.reference_class()
+                if ref is not None and ref[0] == rho:
+                    return p, ref[1]
+    return None
+
+
+def _pair(u: MeasureExpr, w: MeasureExpr, x) -> float:
+    """d(u)/d(w) between two root parts, by either one's `fixed_pair_rule`."""
+    rule = u.fixed_pair_rule(w, x)
+    if rule is not None:
+        return rule
+    rule = w.fixed_pair_rule(u, x)
+    if rule is None:
+        raise UnrelatedPrimitivesError(f"unrelated measures at {x!r}: {u!r} against {w!r}")
+    return -rule
+
+
+def _unrelated(mu: MeasureExpr, nu: MeasureExpr, x, rho) -> UnrelatedPrimitivesError:
+    return UnrelatedPrimitivesError(f"unrelated measures at {x!r}: {root_measure(mu, x)!r} "
+                                    f"against {root_measure(nu, x)!r}, local reference class {rho}")
 
 
 def sample(m: MeasureExpr, seed: int):
