@@ -150,8 +150,6 @@ class Product(_FixedProduct):
             self._check_length(x)
         return _coordinatewise(self.children, targets, x)
 
-    fixed_pair_rule = rule_vs
-
     def reference_class(self):
         # A rescaling of one primitive reference when every factor is.
         refs = [m.reference_class() for m in self.children]
@@ -323,12 +321,13 @@ class Power(MeasureExpr):
             return None
         return (ref[0], _shape_size(self.shape) * ref[1])
 
-    def fixed_pair_rule(self, other, x) -> Optional[float]:
-        # Coordinatewise split of a root part of no class (a power of atoms)
-        # against a power of the same shape; a Product answers by its rule.
-        if not (isinstance(other, Power) and other.shape == self.shape):
-            return None
-        return _coordinatewise(repeat(self.child), repeat(other.child), _flat(x, self.shape))
+    def rule_vs(self, other, x) -> Optional[float]:
+        # Two powers of one shape that are chain fixed points (a power of atoms,
+        # say) split coordinatewise; Power(Normal, n) walks its chain instead.
+        if (isinstance(other, Power) and other.shape == self.shape and self.static_base
+                and other.static_base and self.base_at(x) == self and other.base_at(x) == other):
+            return _coordinatewise(repeat(self.child), repeat(other.child), _flat(x, self.shape))
+        return None
 
     def log_total_mass(self):
         lm = self.child.log_total_mass()
@@ -426,10 +425,10 @@ class Superposition(MeasureExpr):
 
     A walk that reaches a sum, at the top of either side or down a chain,
     reads the density of the two measures it started from through one local
-    reference from their roots (`core._local_rule`), and so does the sum
-    against its own base (the sum of the component bases).  Against Lebesgue
-    measure it is the logsumexp of the component densities; at the atom of
-    a spike-and-slab it is Undefined (neither side locally dominates).
+    reference from their roots (`core._local_rule`), as does a sum that is
+    not its own base against its base.  Against Lebesgue measure it is the
+    logsumexp of the component densities; at the atom of a spike-and-slab
+    it is Undefined (neither side locally dominates).
     """
 
     components: Tuple[MeasureExpr, ...]
@@ -463,7 +462,10 @@ class Superposition(MeasureExpr):
         return base
 
     def log_density_at(self, x) -> float:
-        return core._local_rule(self, self.base_at(x), x)
+        base = self.base_at(x)
+        if base == self:  # a sum of roots: like a Dirac, 0.0 where it has mass, else -inf
+            return max(c.log_density_at(x) for c in self.components)
+        return core._local_rule(self, base, x)
 
     is_sum = True
 

@@ -9,9 +9,10 @@ applies (either node's `rule_vs`, the target's read negated), a sum is
 reached, or two chain fixed points are.  Primitive measures (Lebesgue,
 counting, Dirac) are their own base measures and terminate every chain.  The
 last two cases meet through one local reference read from both roots
-(`_local_rule`): counting measure where either puts an atom at x, else
-Lebesgue measure; a walk that reaches a sum, on either side, applies it to
-the two measures it started from, so both orders end at the same rule.
+(`_local_rule`): counting measure where a Dirac or a summand of counting
+class has mass at x, or no part of Lebesgue class competes, else Lebesgue
+measure.  A walk that reaches a sum, on either side, applies it to the two
+measures it started from, so both orders end at the same rule.
 
 Inside the engine every log-density is a plain float: -inf when the left
 measure vanishes locally but the right does not, +inf in the reverse case,
@@ -342,16 +343,7 @@ class MeasureExpr:
         A recognizable fixed point equals exp(logscale) times a primitive
         reference; the return value is ("lebesgue" | "counting", logscale).
         None when the node is no rescaling of one primitive reference; the
-        local rule then knows it only as itself (see `_local_rule`).
-        """
-        return None
-
-    def fixed_pair_rule(self, other: "MeasureExpr", x) -> Optional[float]:
-        """Rule between two root parts, one of them of no reference class.
-
-        The local rule reads it on either side, negated on the second, to
-        relate such a part (a power of atoms, a product of different
-        classes) to a reference; structured parts split coordinatewise.
+        local rule then relates it by `rule_vs` (see `_local_rule`).
         """
         return None
 
@@ -722,24 +714,19 @@ def _replay(plan, mu, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Part(NamedTuple):
-    """A summand near x, read from the root its base chain ends at."""
-
-    rest: Optional[tuple]  # the chain after the summand, root excluded; None at a root
-    scales: dict  # log scale of the root's parts, by reference class
-    atoms: tuple  # the atoms of the root's Diracs
-    loose: tuple  # the root's parts of no class; None stands for the measure itself
-
-
 class _Local(NamedTuple):
-    """A measure near x as the sum of its summands, and what their roots hold."""
+    """A measure near x as the sum of its summands, read from their roots;
+    None stands for the measure itself, so a record kept on it makes no cycle."""
 
-    parts: tuple  # one _Part per summand
-    classes: frozenset
+    # (chain, scales, atoms, loose): a summand's base chain, root excluded;
+    # its root parts' log scales by class, Dirac atoms and parts of no class.
+    # The summands that are roots share one entry, with an empty chain.
+    entries: tuple
+    classes: dict  # (part, log scale) of the first root part of each class
     atoms: tuple
     loose: tuple
     walks: bool  # whether a summand is no root
-    fixed: Optional[dict]  # else, without atoms or loose parts: log d(m)/d(class) by class
+    plain: bool  # whether all are roots of a class, so the scales are all they hold
 
 
 def _chain(m: MeasureExpr, x) -> list:
@@ -759,62 +746,63 @@ def _local(m: MeasureExpr, x) -> _Local:
     whose roots do not depend on x, so each root is found once."""
     kept = m._kept_local
     if kept is None:
-        parts = []
+        entries, classes, roots = [], {}, None
         for summand in m._summands():
             chain = _chain(summand, x)
-            scales, atoms, loose = {}, [], []
-            for p in chain.pop()._summands():
-                ref = p.reference_class()
+            root = chain.pop()
+            if chain:  # a summand that walks: an entry of its own
+                entries.append(((None if summand is m else summand, *chain[1:]), {}, [], []))
+            elif roots is None:  # the first root: the entry all roots share
+                roots = ((), {}, [], [])
+                entries.append(roots)
+            _, scales, atoms, loose = entries[-1] if chain else roots
+            for p in root._summands():
+                ref, part = p.reference_class(), None if p is m else p
                 if isinstance(p, Dirac):
                     atoms.append(p.atom)
                 elif ref is None:
-                    loose.append(None if p is m else p)
+                    loose.append(part)
                 else:
                     scales[ref[0]] = _logaddexp(scales.get(ref[0], -math.inf), ref[1])
-            rest = tuple(chain[1:]) if chain else None
-            parts.append(_Part(rest, scales, tuple(atoms), tuple(loose)))
-        classes = frozenset(k for p in parts for k in p.scales)
-        atoms, loose = tuple(a for p in parts for a in p.atoms), tuple(u for p in parts for u in p.loose)
-        walks = any(p.rest is not None for p in parts)
-        fixed = None if walks or atoms or loose else {
-            k: _logsumexp([p.scales[k] for p in parts if k in p.scales]) for k in classes}
-        kept = _Local(tuple(parts), classes, atoms, loose, walks, fixed)
+                    classes.setdefault(ref[0], (part, ref[1]))
+        atoms = tuple(a for e in entries for a in e[2])
+        loose = tuple(u for e in entries for u in e[3])
+        walks = any(e[0] for e in entries)
+        kept = _Local(tuple(entries), classes, atoms, loose, walks, not (walks or atoms or loose))
         if m.static_base:
             object.__setattr__(m, "_kept_local", kept)
     return kept
 
 
 def _local_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
-    """d(mu)/d(nu) at x through one local reference rho read from both roots:
-    the end of a walk that reaches a sum (taken between the measures it
-    started from), and of one that reaches two base-chain fixed points.
+    """d(mu)/d(nu) at x through one local reference rho read from both roots.
 
-    rho is counting measure if either root puts an atom at x (a part of
-    counting class, or a Dirac at x), else Lebesgue measure if a part is of
-    its class, else the first by repr of the parts of no class.  The result
-    is A - B, the log sums of d(summand)/d(rho) over each side's summands
-    with mass of rho's class (`_terms`), so the two orders are exact
-    negations; when both sides walk chains, both sums are taken less their
-    largest term and the data terms they share (`_shifted`), so the digits
-    those would carry are kept.  If one side has no such summand, the
-    primitive table answers: undefined if the other has an atom at x, or is
-    undefined itself, +inf against Diracs elsewhere, else
-    UnrelatedPrimitivesError, which names both roots.
+    rho is counting measure if a Dirac of either side sits at x, or if a root
+    part is of its class and either none is of Lebesgue class or a summand of
+    counting class has mass at x (`_charges`); else Lebesgue measure if a
+    root part is of its class or none is of no class; else the first by repr
+    of the parts of no class.  The result is A - B, the log sums over each
+    side's summands of d(summand)/d(rho) (`_terms`), so the two orders are
+    exact negations.  If one side has no term, the primitive table answers:
+    undefined if the other has an atom at x, is undefined or vanishes, +inf
+    against Diracs elsewhere, else UnrelatedPrimitivesError naming both roots.
     """
     left, right = _local(mu, x), _local(nu, x)
-    if ("counting" in left.classes or "counting" in right.classes
-            or x in left.atoms or x in right.atoms):
+    lebesgue = "lebesgue" in left.classes or "lebesgue" in right.classes
+    if x in left.atoms or x in right.atoms or (
+            ("counting" in left.classes or "counting" in right.classes)
+            and (not lebesgue or _charges(mu, left, x) or _charges(nu, right, x))):
         rho = "counting"
-    elif ("lebesgue" in left.classes or "lebesgue" in right.classes
-            or not (left.loose or right.loose)):
+    elif lebesgue or not (left.loose or right.loose):
         rho = "lebesgue"
     else:
         rho = min([mu if u is None else u for u in left.loose]
                   + [nu if u is None else u for u in right.loose], key=repr)
-    if left.fixed is not None and right.fixed is not None and (
-            rho in left.fixed and rho in right.fixed):
-        return left.fixed[rho] - right.fixed[rho]  # two sums of roots: the terms as kept
-    # When both sides walk chains, each term's (summand, rest) is noted too.
+    if left.plain and right.plain:  # two sums of roots: their kept scales
+        a, b = left.entries[0][1].get(rho), right.entries[0][1].get(rho)
+        if a is not None and b is not None:
+            return a - b
+    # When both sides walk chains, each term's chain and its sums are noted.
     walked_a, walked_b = ([], []) if left.walks and right.walks else (None, None)
     a = _terms(mu, left, nu, right, rho, x, walked_a)
     b = _terms(nu, right, mu, left, rho, x, walked_b)
@@ -824,119 +812,109 @@ def _local_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
         # Less the largest term, and less the data terms both sides share.
         top = max(max(a), max(b))
         top = top if math.isfinite(top) else 0.0
-        return (_logsumexp(_shifted(a, walked_a, b, walked_b, top, x))
-                - _logsumexp(_shifted(b, walked_b, a, walked_a, top, x)))
+        return (_logsumexp(_shifted(mu, a, walked_a, nu, b, walked_b, top))
+                - _logsumexp(_shifted(nu, b, walked_b, mu, a, walked_a, top)))
     if not (a or b):
         return math.nan  # neither side has mass of rho's class at x
     full, other, value, sign = (left, right, _logsumexp(a), 1.0) if a else (
         right, left, _logsumexp(b), -1.0)
-    if x in full.atoms or value != value:
-        return math.nan  # undefined wins over unrelated
+    if x in full.atoms or not value > -math.inf:
+        return math.nan  # undefined, or both sides vanish at x: wins over unrelated
     if other.atoms:
         return sign * (value + math.inf)
     raise _unrelated(mu, nu, x, rho)
 
 
+def _charges(m, local, x) -> bool:
+    """Whether a summand of m whose root has parts of counting class has mass
+    at x: its data terms plus their log scale are not -inf."""
+    for chain, scales, _, _ in local.entries:
+        if "counting" in scales:
+            data = 0.0
+            for node in chain:
+                data += (m if node is None else node).log_density_at(x)
+            if data + scales["counting"] != -math.inf:
+                return True
+    return False
+
+
 def _terms(m, local, other, other_local, rho, x, walked) -> list:
-    """log d(summand)/d(rho) for each summand of m with mass of rho's class
-    at x: its data terms down to its root, plus the log scale of the root's
-    parts of the class; each one's (summand, rest) goes to ``walked`` unless
-    that is None.  A summand without any is skipped without a walk.  A part
-    of no class counts by `fixed_pair_rule` against a part that is a
-    rescaling of rho, found on m's side if it has one."""
-    terms, witness = [], None
-    for summand, (rest, scales, atoms, loose) in zip(m._summands(), local.parts):
+    """log d(summand)/d(rho) for each entry of m's record with mass of rho's
+    class at x: its data terms down its chain, with the sum above each
+    node, plus its root's log scale in the class; each term's chain,
+    with those sums, goes to ``walked`` unless that is None.  An entry
+    without such mass is skipped without a walk.  A part of no class counts
+    by its rule against rho (`_loose`)."""
+    terms = []
+    for chain, scales, atoms, loose in local.entries:
         scale = scales.get(rho)
         if atoms and rho == "counting" and x in atoms:
             count = math.log(atoms.count(x))
             scale = count if scale is None else _logaddexp(scale, count)
         for u in loose:
-            u = m if u is None else u
-            if u == rho:
-                w = 0.0
-            else:
-                if witness is None:
-                    witness = _witness(m, local, rho, x) or _witness(other, other_local, rho, x)
-                    if witness is None:
-                        raise _unrelated(m, other, x, rho)
-                part, part_scale = witness
-                w = _pair(u, part, x) + part_scale
+            w = _loose(m if u is None else u, rho, m, local, other, other_local, x)
             scale = w if scale is None else _logaddexp(scale, w)
+        if scale is None and (m.is_sum or not chain):
+            continue
+        data, above = 0.0, []
+        for node in chain:
+            above.append(data)
+            data += (m if node is None else node).log_density_at(x)
         if scale is not None:
-            term = 0.0
-            if rest is not None:
-                term += summand.log_density_at(x)
-                for node in rest:
-                    term += node.log_density_at(x)
-            term += scale
-        elif rest is not None and not m.is_sum:
+            data += scale
+        else:
             # m whole, which a walk in the other order steps down to a sum or
             # its root first: data there that is undefined, or vanishes, ends
-            # that walk, and so is its term here.
-            term, rest = _above_a_sum(m, rest, x), None
-            if term == term and term != -math.inf:
+            # that walk, and so is its term here, with no data to share.
+            for node, data_above in zip(chain, above):
+                if node is not None and node.is_sum:
+                    data = data_above
+                    break
+            if data == data and data != -math.inf:
                 continue
-        else:
-            continue
-        terms.append(term)
+            chain = ()
+        terms.append(data)
         if walked is not None:
-            walked.append((summand, rest))
+            walked.append((chain, above))
     return terms
 
 
-def _above_a_sum(m: MeasureExpr, rest: tuple, x) -> float:
-    """The data terms of m's chain, m first, down to its first sum or root."""
-    data = 0.0
-    for node in (m, *rest):
-        if node.is_sum:
-            break
-        data += node.log_density_at(x)
-    return data
-
-
-def _shifted(terms, walked, others, others_walked, top: float, x) -> list:
-    """Each term less top.  A summand whose chain passes through a summand
-    of the other side, of term t, gives its data terms above that one plus
-    (t - top), so the data terms the two sides share cancel exactly."""
-    below = {id(s): t - top for t, (s, rest) in zip(others, others_walked) if rest is not None}
+def _shifted(m, terms, walked, other, others, others_walked, top: float) -> list:
+    """Each term less top.  A term whose chain passes through the summand of
+    a term t of the other side gives the data above that node plus (t - top),
+    so the data terms the two sides share cancel exactly."""
+    below = {id(other if chain[0] is None else chain[0]): t - top
+             for t, (chain, _) in zip(others, others_walked) if chain}
     out = []
-    for t, (summand, rest) in zip(terms, walked):
+    for t, (chain, above) in zip(terms, walked):
         value = t - top
-        if rest:
-            data = 0.0
-            for node in (summand, *rest):
-                if id(node) in below:
-                    value = data + below[id(node)]
-                    break
-                data += node.log_density_at(x)
+        for node, data in zip(chain, above):
+            key = id(m if node is None else node)
+            if key in below:
+                value = data + below[key]
+                break
         out.append(value)
     return out
 
 
-def _witness(m, local, rho, x):
-    """(part, log scale) of a root part that is exp(log scale) times rho:
-    rho itself if it is no class, else the first part of class rho of m's
-    roots; None if m has none."""
-    if not isinstance(rho, str):
-        return rho, 0.0
-    for summand, part in zip(m._summands(), local.parts):
-        if rho in part.scales:
-            for p in _chain(summand, x)[-1]._summands():
-                ref = p.reference_class()
-                if ref is not None and ref[0] == rho:
-                    return p, ref[1]
-    return None
-
-
-def _pair(u: MeasureExpr, w: MeasureExpr, x) -> float:
-    """d(u)/d(w) between two root parts, by either one's `fixed_pair_rule`."""
-    rule = u.fixed_pair_rule(w, x)
-    if rule is not None:
-        return rule
-    rule = w.fixed_pair_rule(u, x)
+def _loose(u: MeasureExpr, rho, m, local, other, other_local, x) -> float:
+    """log d(u)/d(rho) for a root part u of m of no class, by the rule
+    (`_rule`) between u and a part that is exp(scale) times rho: rho itself
+    if it is no class, else the first part of class rho of m's roots, else
+    of other's."""
+    if u == rho:
+        return 0.0
+    part, scale = rho, 0.0
+    if isinstance(rho, str):
+        side, record = (m, local) if rho in local.classes else (other, other_local)
+        if rho not in record.classes:
+            raise _unrelated(m, other, x, rho)
+        part, scale = record.classes[rho]
+        part = side if part is None else part
+    rule = _rule(u, part, x)
     if rule is None:
-        raise UnrelatedPrimitivesError(f"unrelated measures at {x!r}: {u!r} against {w!r}")
-    return -rule
+        raise UnrelatedPrimitivesError(f"unrelated measures at {x!r}: {u!r} against {part!r}")
+    return rule[0] + scale
 
 
 def _unrelated(mu: MeasureExpr, nu: MeasureExpr, x, rho) -> UnrelatedPrimitivesError:

@@ -174,6 +174,46 @@ class TestPartsOfNoClass:
         assert log_density(b, (0, 0), wrt=a).is_undefined
 
 
+class TestTheClassFollowsTheMass:
+    # Counting measure is the reference only where a Dirac sits at x or a
+    # summand of counting class has mass there; off the integers a Poisson
+    # summand has none, and the Lebesgue parts answer.
+    MIXED = mk.superpose(mk.Normal(), mk.Poisson(3.0))
+
+    @pytest.mark.parametrize("x", [0.5, 2])
+    def test_a_mixed_sum_against_its_own_base(self, x):
+        m = mk.superpose(mk.scale(-1.5, mk.Normal()), mk.scale(-1.5, mk.Poisson(3.0)))
+        base = mk.base_measure(m, x)
+        assert log_density(m, x, wrt=base).value == -1.5
+        assert log_density(base, x, wrt=m).value == 1.5
+
+    def test_a_mixed_sum_against_lebesgue_off_the_integers(self):
+        assert log_density(self.MIXED, 0.5, wrt=LEBESGUE).value == -1.0439385332046727
+        assert log_density(LEBESGUE, 0.5, wrt=self.MIXED).value == 1.0439385332046727
+
+    def test_a_mixed_sum_against_lebesgue_at_an_integer_raises(self):
+        with pytest.raises(UnrelatedPrimitivesError):
+            log_density(self.MIXED, 2, wrt=LEBESGUE)
+        with pytest.raises(UnrelatedPrimitivesError):
+            log_density(LEBESGUE, 2, wrt=self.MIXED)
+
+
+class TestASumOfRootsAgainstItself:
+    # A sum that is its own base has no data term against itself: like a
+    # Dirac's, its own density is 0.0 where it has mass at x, else -inf.
+    ATOMS = mk.superpose(Dirac(1), Dirac(1))
+
+    def test_off_and_at_its_atoms(self):
+        assert log_density(Dirac(1), 0).is_neg_inf
+        assert log_density(self.ATOMS, 0).is_neg_inf
+        assert log_density(self.ATOMS, 1).value == 0.0
+
+    def test_a_pushforward_built_over_it(self):
+        m = mk.Pushforward(mk.forward_map(2.0, 0.0), self.ATOMS)
+        assert log_density(m, 0).is_neg_inf
+        assert log_density(m, 2).value == 0.0
+
+
 class TestFailuresNameBothRoots:
     def test_lebesgue_against_counting(self):
         message = r"at 0\.0: Lebesgue\(\) against Counting\(\), local reference class counting"
@@ -205,7 +245,7 @@ class TestSumsStayOutermost:
     def test_a_mixture_against_its_own_base_keeps_its_digits_in_the_tails(self, x):
         # The data terms the two sides share cancel before the sums: at 100
         # the two densities are about e^-1226 of Lebesgue measure.
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         weights, means, sigmas = (0.3, 0.7), (0.0, 1.0), (1.0, 2.0)
         mix = mk.superpose(*(mk.scale(math.log(w), mk.Normal(m, s))
                              for w, m, s in zip(weights, means, sigmas)))
@@ -262,6 +302,44 @@ _POINTS = st.one_of(st.integers(-3, 9), st.sampled_from((0.5, 1.5, 2.5, -0.5)),
 def test_generated_sums_are_antisymmetric(mu, nu, x):
     forward, backward = _outcome(mu, x, nu), _outcome(nu, x, mu)
     assert _antisymmetric(forward, backward), (forward, backward)
+
+
+def _check_transitive(mu, nu, rho, x):
+    """d(mu/nu) + d(nu/rho) == d(mu/rho) wherever the first two are finite,
+    and d(mu/rho) is finite there too."""
+    first, second = _outcome(mu, x, nu), _outcome(nu, x, rho)
+    if isinstance(first, type) or isinstance(second, type) or not (first.is_finite and second.is_finite):
+        return
+    through = _outcome(mu, x, rho)
+    assert not isinstance(through, type) and through.is_finite, (first, second, through)
+    assert through.value == pytest.approx(first.value + second.value, rel=1e-9), (first, second)
+
+
+def _sums(parts):
+    """One of the parts, or the sum of two of them."""
+    return st.lists(st.sampled_from(parts), min_size=1, max_size=2).map(
+        lambda chosen: mk.superpose(*chosen) if len(chosen) > 1 else chosen[0])
+
+
+@settings(max_examples=800)
+@given(_sums(LEAVES), _sums(LEAVES), _sums(LEAVES), st.sampled_from((0, 1, 2, 0.5, 4, 3, -1)))
+def test_generated_sums_are_transitive(mu, nu, rho, x):
+    _check_transitive(mu, nu, rho, x)
+
+
+# Two-dimensional roots with parts of no class (powers and products of
+# atoms, a product of two classes), which relate through their rules.
+_PLANE = _sums((mk.power(Dirac(0), (2,)), mk.product(Dirac(0), mk.Normal()), mk.power(mk.Normal(), (2,)),
+                mk.product(LEBESGUE, COUNTING), mk.power(LEBESGUE, (2,))))
+_PLANE_POINTS = st.tuples(*[st.sampled_from((0, 1, 0.5, -1, 2))] * 2)
+
+
+@settings(max_examples=300)
+@given(_PLANE, _PLANE, _PLANE, _PLANE_POINTS)
+def test_generated_plane_sums_are_antisymmetric_and_transitive(mu, nu, rho, x):
+    forward, backward = _outcome(mu, x, nu), _outcome(nu, x, mu)
+    assert _antisymmetric(forward, backward), (forward, backward)
+    _check_transitive(mu, nu, rho, x)
 
 
 def test_parts_of_another_class_take_no_walk():
