@@ -29,6 +29,7 @@ from .core import (
     ShapeError,
     Weighted,
     _as_float,
+    _is_scalar,
     _log_density,
     _logsumexp,
 )
@@ -42,27 +43,82 @@ from .core import (
 class _Product(MeasureExpr):
     """A product on tuple points: slot i of the point is measured by factor i.
 
-    Data terms and bases run factor by factor, left to right, and `unfold`
-    finds the factors once.  A subclass declares `_factors(x)`, its factor
-    measures at x after the checks it owes x, and `_base_of(bases)`, its
-    base assembled from the factors' bases.
+    A subclass declares `_terms(x)`: after the checks it owes x, the sum of
+    the factors' data terms, left to right from 0.0, each factor's base and
+    the base's constant weight (None when it has none), from one loop over
+    the factors; a factor the loop builds no measure for gives its root as
+    its base, and the weight the base would carry over it.  And it declares
+    `_base_of(weights, bases)`, its base joined from those.  `unfold` reads
+    both from one `_terms`.
     """
 
     def check_point(self, x) -> None:
-        self._factors(x)
+        self._terms(x)
 
     def log_density_at(self, x) -> float:
-        return _data_sum(self._factors(x), x)
+        return self._terms(x)[0]
 
     def base_at(self, x) -> MeasureExpr:
-        return self._base_of([m.base_at(xi) for m, xi in zip(self._factors(x), x)])
+        _, weights, bases = self._terms(x)
+        return self._base_of(weights, bases)
 
     def unfold(self, x):
-        factors = self._factors(x)
-        base = self._base_of([m.base_at(xi) for m, xi in zip(factors, x)])
+        data, weights, bases = self._terms(x)
+        base = self._base_of(weights, bases)
         if type(base) is type(self) and base == self:  # a Product of fixed points
             return None
-        return _data_sum(factors, x), base
+        return data, base
+
+
+def _unfold_into(m: MeasureExpr, xi, data: float, weights: list, bases: list) -> float:
+    """data plus m's data term at xi; m's base there, and its weight, go to
+    ``bases`` and ``weights``.  xi is checked already, unless m checks it
+    itself."""
+    step = m.unfold(xi)
+    if step is None:  # a fixed point: its own base
+        step = m.log_density_at(xi), m
+    base = step[1]
+    weights.append(base.logweight if isinstance(base, Weighted) else None)
+    bases.append(base)
+    return data + step[0]
+
+
+def _kernel_terms(first: MeasureExpr, kernel, x):
+    """`_Product._terms` of a product whose factor 0 is ``first`` and whose
+    factor i >= 1 is kernel(x[i - 1]), in one loop over the elements, each
+    checked as it goes.  A family kernel (`kernels.Kernel._law`) builds no
+    measure: per element it maps and checks the parameters, checks the
+    element, adds the family's data term, and notes its base weight and
+    root.  Any other kernel's element is the node it returns."""
+    weights, bases = [], []
+    if not first.self_checking:
+        first.check_point(x[0])
+    data = _unfold_into(first, x[0], 0.0, weights, bases)
+    law = getattr(kernel, "_law", None)
+    if law is None:
+        for prev, cur in zip(x, x[1:]):
+            m = kernel(prev)
+            if not m.self_checking:
+                m.check_point(cur)
+            data = _unfold_into(m, cur, data, weights, bases)
+        return data, weights, bases
+    params, term, weight, root, name = law
+    note = weights.append
+    for prev, cur in zip(x, x[1:]):
+        args = params(prev)
+        t = type(cur)
+        if t is not float and t is not int and not _is_scalar(cur):
+            raise core._not_scalar(name, cur)
+        data += term(cur, *args)
+        note(None if weight is None else weight(*args))
+    bases.extend(repeat(root, len(x) - 1))
+    return data, weights, bases
+
+
+def _rejoined(weight: Optional[float], base: MeasureExpr) -> MeasureExpr:
+    """The base a `_Product._terms` entry stands for: ``base``, or the
+    Weighted that a root under its weight stands for."""
+    return base if weight is None or isinstance(base, Weighted) else Weighted(weight, base)
 
 
 class _FixedProduct(_Product):
@@ -106,6 +162,24 @@ class _FixedProduct(_Product):
                     child.check_point(xi)
         return self.children
 
+    def log_density_at(self, x) -> float:
+        # The data terms alone: a walk plan replays them at every point.
+        total = 0.0
+        for m, xi in zip(self._factors(x), x):
+            total += m.log_density_at(xi)
+        return total
+
+    def base_at(self, x) -> MeasureExpr:
+        bases = [m.base_at(xi) for m, xi in zip(self._factors(x), x)]
+        return self._base_of(_weights(bases), bases)
+
+    def _terms(self, x):
+        weights, bases = [], []
+        data = 0.0
+        for m, xi in zip(self._factors(x), x):
+            data = _unfold_into(m, xi, data, weights, bases)
+        return data, weights, bases
+
     def log_total_mass(self):
         total = 0.0
         for child in self.children:
@@ -133,8 +207,8 @@ class Product(_FixedProduct):
             raise ValueError("Product needs at least two factors")
         super().__post_init__()
 
-    def _base_of(self, bases) -> MeasureExpr:
-        return Product(tuple(bases))
+    def _base_of(self, weights, bases) -> MeasureExpr:
+        return Product(tuple(map(_rejoined, weights, bases)))
 
     # The rules evaluate each coordinate through `_log_density`, which checks it.
 
@@ -156,14 +230,6 @@ class Product(_FixedProduct):
         if None in refs or len({ref[0] for ref in refs}) != 1:
             return None
         return refs[0][0], sum(ref[1] for ref in refs)
-
-
-def _data_sum(factors, x) -> float:
-    """Sum of each factor's `log_density_at` at its entry, left to right from 0.0."""
-    total = 0.0
-    for m, xi in zip(factors, x):
-        total += m.log_density_at(xi)
-    return total
 
 
 def _coordinatewise(sources, targets, x) -> float:
@@ -190,19 +256,29 @@ def product_base(bases: Sequence[MeasureExpr], shape: Tuple[int, ...]) -> Measur
     term however many coordinates there are.  Otherwise the bases are nested
     into Products that follow the shape.
     """
+    return _joined_base(_weights(bases), bases, shape)
+
+
+def _weights(bases) -> list:
+    return [b.logweight if isinstance(b, Weighted) else None for b in bases]
+
+
+def _joined_base(weights: list, bases: list, shape: Tuple[int, ...]) -> MeasureExpr:
+    """`product_base` of entries as `_Product._terms` gives them."""
+    first = bases[0]
+    if isinstance(first, Weighted):
+        first = first.base
+    for b in bases:
+        if b is not first:
+            inner = b.base if isinstance(b, Weighted) else b
+            if inner is not first and inner != first:
+                return _nested_product(map(_rejoined, weights, bases), shape)
     weighted = False
     logweight = 0.0
-    inner = []
-    for b in bases:
-        if isinstance(b, Weighted):
+    for w in weights:
+        if w is not None:
             weighted = True
-            logweight += b.logweight
-            b = b.base
-        inner.append(b)
-    first = inner[0]
-    for b in inner:
-        if b is not first and b != first:
-            return _nested_product(iter(bases), shape)
+            logweight += w
     if len(bases) == 1:
         logweight *= _shape_size(shape)
     return Weighted(logweight, Power(first, shape)) if weighted else Power(first, shape)
@@ -315,6 +391,19 @@ class Power(MeasureExpr):
             return product_base((base(first),), self.shape)
         return product_base([base(xi) for xi in _flat(x, self.shape)], self.shape)
 
+    def unfold(self, x):
+        if self.child.static_base:
+            return MeasureExpr.unfold(self, x)
+        # Each coordinate's base is taken at its entry, which is unfolded once.
+        if self.self_checking:
+            _check_shape(x, self.shape, None)
+        weights, bases = [], []
+        data = 0.0
+        for xi in _flat(x, self.shape):
+            data = _unfold_into(self.child, xi, data, weights, bases)
+        base = _joined_base(weights, bases, self.shape)
+        return None if base == self else (data, base)
+
     def reference_class(self):
         ref = self.child.reference_class()
         if ref is None:
@@ -368,8 +457,8 @@ class ForProduct(_FixedProduct):
         object.__setattr__(self, "children", tuple(self.kernel(i) for i in self.indices))
         super().__post_init__()
 
-    def _base_of(self, bases) -> MeasureExpr:
-        return product_base(bases, (len(bases),))
+    def _base_of(self, weights, bases) -> MeasureExpr:
+        return _joined_base(weights, bases, (len(bases),))
 
 
 def for_product(indices: Sequence[Any], kernel) -> ForProduct:
@@ -382,8 +471,9 @@ class Bind(_Product):
     """Monadic bind: pair measure (x, y) with y drawn from kernel(x).
 
     The base measure at (x, y) is base(source, x) x base(kernel(x), y),
-    assembled lazily at the evaluation point.  Each evaluation applies the
-    kernel once and checks y against its output (``self_checking``).
+    assembled lazily at the evaluation point.  Each evaluation checks y
+    against kernel(x) as it evaluates it (``self_checking``), in the loop a
+    chain uses (`_kernel_terms`), so a family kernel's output is not built.
     """
 
     source: MeasureExpr
@@ -391,13 +481,10 @@ class Bind(_Product):
     self_checking = True
     _base_of = Product._base_of
 
-    def _factors(self, x):
+    def _terms(self, x):
         if not isinstance(x, tuple) or len(x) != 2:
             raise ShapeError(f"Bind expects a pair point, got {x!r}")
-        self.source.check_point(x[0])
-        inner = self.kernel(x[0])
-        inner.check_point(x[1])
-        return self.source, inner
+        return _kernel_terms(self.source, self.kernel, x)
 
     def log_total_mass(self):
         # Assumes the kernel is Markov (unit-mass outputs); checked per draw.
@@ -630,6 +717,10 @@ class IntegralMeasure(MeasureExpr):
     log_fn: Callable[[Any], float]
     reference: MeasureExpr
     static_base = True
+
+    def __post_init__(self):
+        if not self.reference.static_base:  # one base everywhere, but the chain below it moves
+            object.__setattr__(self, "static_base", False)
 
     def check_point(self, x) -> None:
         self.reference.check_point(x)

@@ -250,6 +250,10 @@ def _is_scalar(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _not_scalar(name: str, x) -> ShapeError:
+    return ShapeError(f"{name} expects a scalar point, got {x!r}")
+
+
 class MeasureExpr:
     """Base class for measure expression nodes.
 
@@ -284,16 +288,17 @@ class MeasureExpr:
     static_base = False
 
     #: True when the evaluation methods (`log_density_at`, `base_at`,
-    #: `unfold`) validate the point themselves, as nodes that build one
-    #: measure per element of the point do; the engine then skips the
-    #: separate `check_point` pass, so each element's measure is built once.
+    #: `unfold`) validate the point themselves, as nodes whose factors depend
+    #: on the point do, and the containers above them; the engine then
+    #: skips the separate `check_point` pass, so each element is evaluated
+    #: once.
     self_checking = False
 
     def check_point(self, x) -> None:
         """Raise ShapeError when x is not in this measure's sample space."""
         t = type(x)
         if t is not float and t is not int and not _is_scalar(x):
-            raise ShapeError(f"{type(self).__name__} expects a scalar point, got {x!r}")
+            raise _not_scalar(type(self).__name__, x)
 
     def log_density_at(self, x) -> float:
         """Log-density against this measure's own base measure at x."""
@@ -454,6 +459,8 @@ class Weighted(MeasureExpr):
             raise ValueError(f"invalid log weight {self.logweight!r}")
         if w is not self.logweight:
             object.__setattr__(self, "logweight", w)
+        if not self.base.static_base:  # one base everywhere, but the chain below it moves
+            object.__setattr__(self, "static_base", False)
 
     def check_point(self, x) -> None:
         self.base.check_point(x)
@@ -535,12 +542,18 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
     so a pair that meets once (nodes built per call, or more targets in turn
     than the memo holds) pays for no plan.
     """
-    if not m.self_checking:
-        m.check_point(x)
     if wrt is None:
+        if not m.self_checking:
+            m.check_point(x)
         return m.log_density_at(x)
-    if not wrt.self_checking:
-        wrt.check_point(x)
+    if not (m.static_base and wrt.static_base):
+        if not m.self_checking and (m.static_base or not _over_self_checking(m)):
+            m.check_point(x)
+        if not wrt.self_checking and (wrt.static_base or not _over_self_checking(wrt)):
+            wrt.check_point(x)
+        return _recurse(m, wrt, x)
+    m.check_point(x)  # a static-base node is never self-checking
+    wrt.check_point(x)
     seen = False
     for target, plan in m._plans:
         if target is wrt:
@@ -548,8 +561,6 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
                 return _replay(plan, m, x)
             seen = True
             break
-    if not (m.static_base and wrt.static_base):
-        return _recurse(m, wrt, x)
     # Each memo update is one tuple swap, so a concurrent reader sees the old
     # or the new memo.
     if not seen:
@@ -562,6 +573,15 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
         if plan:
             kept = tuple(entry for entry in m._plans if entry[0] is not wrt)
             object.__setattr__(m, "_plans", ((wrt, plan[0]),) + kept[: _PLAN_SLOTS - 1])
+
+
+def _over_self_checking(m: MeasureExpr) -> bool:
+    """Whether m is a Weighted over a self-checking measure.  A walk from m
+    unfolds that measure next, which checks the point, so the walk skips
+    m's own check as it does a self-checking m's (and `scale(w, chain)`
+    applies the chain's kernel once per element).  Never so for a
+    static-base m, which callers test first."""
+    return type(m) is Weighted and m.base.self_checking
 
 
 def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -> float:
@@ -577,8 +597,11 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
     # A walk that ends other than by a NaN exit appends its plan to ``plan``.
     top_mu, top_nu = mu, nu
     # Self-checking sides are validated by their first unfold or by a rule
-    # that fires (rules evaluate through validating calls), else on exit.
-    mu_pending, nu_pending = mu.self_checking, nu.self_checking
+    # that fires (rules evaluate through validating calls), else on exit; a
+    # Weighted over one by the walk on to it, as after its unfold the walk
+    # unfolds that measure, meets an equal one or ends in such a rule.
+    mu_pending = mu.self_checking or (not mu.static_base and _over_self_checking(mu))
+    nu_pending = nu.self_checking or (not nu.static_base and _over_self_checking(nu))
     nodes = []  # mu's base chain ...
     sums = []  # ... and the source sum on reaching each of its nodes
     targets = []  # nu's nodes that were stepped
@@ -643,8 +666,9 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
             top_mu.check_point(x)
         if nu_pending:
             top_nu.check_point(x)
-        # A static-base wrapper (`Weighted`, say) may wrap a measure whose
-        # base depends on the point, so every node the walk reached counts.
+        # A plan is kept only where every node the walk reached has a static
+        # base; the wrappers (`Weighted`, `IntegralMeasure`, ...) take their
+        # flag from the measure they wrap.
         if (plan is not None and end is not None
                 and all(n.static_base for n in (*nodes, *targets, mu, nu))):
             # After a source fixed point, the last node of `nodes` (mu) was

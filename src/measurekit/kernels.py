@@ -5,9 +5,11 @@ per-parameter maps or as an opaque function.  Chains pair a starting
 probability measure with a kernel on the state space; sampling a chain gives
 a seed-carrying lazy infinite iterator, and finite prefixes have
 data-dependent log-densities.  A chain prefix is a product whose factors
-depend on the point (on the loops of `combinators._Product`), so each
-evaluation applies the step kernel once per element and checks the prefix as
-it goes.
+depend on the point (on the loops of `combinators._Product`).  Its density
+is one loop over the elements: for a family kernel each element maps the
+parameters, checks them and the element, and adds its data term and its
+base constant, with no measure built; an opaque kernel's element is the
+node it returns, checked and unfolded once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import catalog, core, rng
-from .combinators import ForProduct, _Product
+from .combinators import ForProduct, _kernel_terms, _Product
 from .core import LogWeight, MeasureExpr, NotProbabilityError, ShapeError
 
 # Closed vocabulary of serializable parameter maps.
@@ -49,17 +51,21 @@ class Kernel:
     Either a registered family name plus per-parameter maps, or an opaque
     function.  Application is deterministic and yields structurally equal
     measures for equal inputs.  The family, its parameter names and the maps
-    are checked and resolved once, at construction; each application then
-    calls the family's constructor directly.  The resolved form takes no part
-    in equality, hashing or repr.
+    are checked and resolved once, at construction: application calls the
+    family's constructor directly, and a family kernel's ``_law``
+    (`catalog.Family.law`) lets a product evaluate an element without
+    building its measure.  The resolved form takes no part in equality,
+    hashing or repr.
     """
 
     family: Optional[str] = None
     maps: Tuple[Tuple[str, Any], ...] = ()
     fn: Optional[Callable[[Any], MeasureExpr]] = None
     _apply: Callable[[Any], MeasureExpr] = field(init=False, repr=False, compare=False)
+    _law: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        law = None
         if self.fn is not None:
             apply = self.fn
         else:
@@ -70,11 +76,13 @@ class Kernel:
             family.check(name for name, _ in self.maps)
             build = family.build
             resolved = tuple((name, resolve_map(spec)) for name, spec in self.maps)
+            law = family.law(dict(resolved))
 
             def apply(x):
                 return build(**{name: f(x) for name, f in resolved})
 
         object.__setattr__(self, "_apply", apply)
+        object.__setattr__(self, "_law", law)
 
     def __call__(self, x) -> MeasureExpr:
         return self._apply(x)
@@ -116,9 +124,12 @@ class Chain(_Product):
     As a measure expression it is evaluated at finite prefixes: the
     log-density of a length-n prefix is the data-dependent sum
     log p(x1) + sum_i log p(x_{i+1} | x_i), and the base measure at the
-    prefix is assembled from the initial and per-step bases, so densities
-    against Lebesgue^n work through the ordinary recursion.  Each evaluation
-    applies the step kernel once per element (``self_checking``).
+    prefix joins the initial and per-step bases, so densities against
+    Lebesgue^n work through the ordinary recursion.  Each evaluation runs
+    one loop over the elements, which checks each as it goes
+    (``self_checking``) and, for a family kernel, builds no measure per
+    step; the base is one Weighted(sum of the constants, Power(root, (n,)))
+    when every element's base ends at one root.
     """
 
     initial: MeasureExpr
@@ -126,17 +137,10 @@ class Chain(_Product):
     self_checking = True
     _base_of = ForProduct._base_of
 
-    def _factors(self, x) -> list:
-        """The measure of each element of the prefix x, each element checked."""
+    def _terms(self, x):
         if not isinstance(x, (tuple, list)) or len(x) == 0:
             raise ShapeError(f"Chain expects a nonempty finite prefix, got {x!r}")
-        self.initial.check_point(x[0])
-        elements = [self.initial]
-        for prev, cur in zip(x, x[1:]):
-            m = self.step(prev)
-            m.check_point(cur)
-            elements.append(m)
-        return elements
+        return _kernel_terms(self.initial, self.step, x)
 
     def log_total_mass(self):
         # Assumes the step kernel is Markov; each element draw re-checks it.

@@ -228,6 +228,9 @@ def test_static_wrappers_of_point_dependent_bases_take_no_plan():
     _check_pairs([(scaled, line), (line, scaled), (over, line), (mixed, line)], triples, False)
     assert not _has_plan(scaled, line) and not _has_plan(over, line)
     # The mixture's own walk ends in its rule, which it re-runs at each point.
+    mixed = mk.superpose(mk.scale(math.log(0.4), mk.power(mk.Normal(), (n,))),
+                         mk.scale(math.log(0.6), mk.power(mk.Normal(1.0, 2.0), (n,))))
+    _check_pairs([(mixed, line)], triples)
     assert _has_plan(mixed, line)
 
     pairs = [(mk.scale(0.2, b), mk.product(LEBESGUE, LEBESGUE)),
