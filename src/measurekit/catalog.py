@@ -7,21 +7,26 @@ data term is -inf, never an error.
 
 `FAMILIES` declares, once per family, the accepted parameter name sets, how
 document names map to fields, and the family's parameter check, data term,
-base weight and root as functions of its parameters; construction, kernels,
-the document format and the family's classes all read it.  Construction
-dispatches on the names given and never converts between parameterizations.
+base weight and root as functions of its parameters, and, for a family whose
+draw takes a fixed number of uniforms, its draw as a function of them and of
+the parameters; construction, kernels, the document format and the family's
+classes all read it.  Construction dispatches on the names given and never
+converts between parameterizations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Set, Tuple
+from itertools import repeat
+from operator import attrgetter
+from typing import Any, Callable, Optional, Set, Tuple
 
 from . import rng
 from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _as_float, _is_scalar
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
 _INF = math.inf
 
 
@@ -44,11 +49,12 @@ def log_binomial(n: float, k: float) -> float:
 #
 # Each family's facts are written once, as functions of its parameters:
 # ``_<family>_checked`` converts them to floats and rejects a value out of
-# range, ``_<family>_data`` is the data term at a point, and
-# ``_<family>_weight`` the log constant its base carries.  The classes below
-# and a kernel's element loop (`kernels.Kernel`) both call them, except that
-# `Normal` inlines its data term and the in-range case of its check, which
-# mixtures and chain draws reach once per component or step.
+# range, ``_<family>_data`` is the data term at a point,
+# ``_<family>_weight`` the log constant its base carries, and
+# ``_<family>_draw`` a draw from the leading uniforms of a stream.  The
+# classes below and a kernel's element loops (`kernels.Kernel`) both call
+# them, except that `Normal` inlines its data term and the in-range case of
+# its check, which mixtures reach once per component.
 
 
 def _normal_checked(mu, sigma) -> tuple:
@@ -75,8 +81,17 @@ def _normal_weight(mu, sigma) -> float:
     return -math.log(sigma) - _HALF_LOG_TWO_PI
 
 
+def _normal_draw(u1, u2, mu, sigma) -> float:
+    # Box-Muller on a pair of uniforms.
+    return mu + sigma * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
+
+
 def _uniform01_data(x) -> float:
     return 0.0 if 0.0 <= x <= 1.0 else -math.inf
+
+
+def _uniform01_draw(u) -> float:
+    return u
 
 
 def _positive_rate(family: str):
@@ -100,6 +115,10 @@ def _exponential_data(x, rate) -> float:
         return -math.inf
 
 
+def _exponential_draw(u, rate) -> float:
+    return -math.log(u) / rate
+
+
 def _bernoulli_checked(p) -> tuple:
     p = _as_float(p)
     if not 0.0 <= p <= 1.0:
@@ -113,6 +132,10 @@ def _bernoulli_data(x, p) -> float:
     if x == 0:
         return math.log1p(-p) if p < 1.0 else -math.inf
     return -math.inf
+
+
+def _bernoulli_draw(u, p) -> int:
+    return 1 if u < p else 0
 
 
 def _poisson_data(x, rate) -> float:
@@ -156,11 +179,29 @@ class _Law(MeasureExpr):
     Its fields are its family's parameters, checked by the family's
     ``checked`` on construction.  Its base is the family's ``root``; a class
     whose family declares a ``weight`` puts the root under the weight of its
-    fields.
+    fields.  A class whose family declares a ``draw`` draws an iid block,
+    or a factor of a product, from the leading uniforms of many streams at
+    once (`rng.unit_chunks`).
     """
 
     static_base = True
     _family = None  # its `Family`, bound where `FAMILIES` is declared
+
+    def _draw_from(self, units):
+        """Its draw from ``units``, the leading uniforms of its stream (at
+        least ``draw_units`` of them)."""
+        family = self._family
+        return family.draw(*units[:family.units], *family.args(self))
+
+    def _sample_block(self, seed: int, n: int) -> list:
+        family = self._family
+        if not family.units or n < rng.LANE_MIN:  # one draw at a time is the faster
+            return MeasureExpr._sample_block(self, seed, n)
+        draw, args = family.draw, [repeat(a) for a in family.args(self)]
+        block = []
+        for columns in rng.unit_chunks(seed, 0, family.units, n):
+            block.extend(map(draw, *columns, *args))
+        return block
 
     def base_at(self, x) -> MeasureExpr:
         return self._family.root
@@ -205,7 +246,7 @@ class Normal(_Law):
 
     def _sample_normalized(self, seed: int):
         stream = rng.RandomStream(seed)
-        return self.mu + self.sigma * _standard_normal(stream)
+        return _normal_draw(stream.unit(), stream.unit(), self.mu, self.sigma)
 
     def _data_block(self, xs) -> float:
         mu, sigma = self.mu, self.sigma
@@ -218,13 +259,6 @@ class Normal(_Law):
             return MeasureExpr._data_block(self, xs)
         return total
 
-    def _sample_block(self, seed: int, n: int) -> list:
-        # `_standard_normal` inlined, on the uniforms of each coordinate's stream.
-        mu, sigma = self.mu, self.sigma
-        sqrt, log, cos, two_pi = math.sqrt, math.log, math.cos, 2.0 * math.pi
-        units = rng.unit_block(seed, n, 2)
-        return [mu + sigma * (sqrt(-2.0 * log(u1)) * cos(two_pi * u2)) for u1, u2 in zip(units, units)]
-
 
 @dataclass(frozen=True)
 class Uniform01(_Law):
@@ -234,7 +268,7 @@ class Uniform01(_Law):
         return _uniform01_data(x)
 
     def _sample_normalized(self, seed: int):
-        return rng.RandomStream(seed).unit()
+        return _uniform01_draw(rng.RandomStream(seed).unit())
 
 
 @dataclass(frozen=True)
@@ -254,7 +288,7 @@ class Exponential(_Law):
         return Weighted(family.weight(self.rate), family.root)
 
     def _sample_normalized(self, seed: int):
-        return -math.log(rng.RandomStream(seed).unit()) / self.rate
+        return _exponential_draw(rng.RandomStream(seed).unit(), self.rate)
 
 
 @dataclass(frozen=True)
@@ -270,7 +304,7 @@ class Bernoulli(_Law):
         return _bernoulli_data(x, self.p)
 
     def _sample_normalized(self, seed: int):
-        return 1 if rng.RandomStream(seed).unit() < self.p else 0
+        return _bernoulli_draw(rng.RandomStream(seed).unit(), self.p)
 
 
 @dataclass(frozen=True)
@@ -349,7 +383,11 @@ class Family:
     primitive measure the base ends at.  A member builds its base from
     ``weight`` and ``root`` (`base_at`), and a kernel over the family
     evaluates its members through them without building one (`law`).  Dirac
-    declares none of them: its root is the member itself.
+    declares none of them: its root is the member itself.  A family whose
+    draw takes a fixed number ``units`` of leading uniforms of a stream
+    declares ``draw(*uniforms, *checked)``, the draw from them; iid blocks,
+    product factors and chain steps draw the uniforms of many streams at
+    once and call it.  A family without (``units`` 0) draws from a stream.
 
     ``build`` makes the measure from keyword parameters named as in one of
     the parameterizations, and ``params`` reads them back from a measure, in
@@ -368,12 +406,18 @@ class Family:
     build: Optional[Callable[..., MeasureExpr]] = None
     params: Optional[Callable[[MeasureExpr], dict]] = None
     arguments: Optional[Callable[[dict], tuple]] = None
+    units: int = 0
+    draw: Optional[Callable[..., Any]] = None
 
     def __post_init__(self):
+        # ``args(m)``: the fields of a member in order, the parameters the
+        # family's functions take (attrgetter gives a tuple for two or more).
+        names = [f.name for f in fields(self.cls)]
+        args = attrgetter(*names) if len(names) > 1 else lambda m: tuple([getattr(m, n) for n in names])
+        object.__setattr__(self, "args", args)
         if self.build is None:
             object.__setattr__(self, "build", self.cls)
         if self.params is None:
-            names = [f.name for f in fields(self.cls)]
             object.__setattr__(self, "params", lambda m: {n: getattr(m, n) for n in names})
         if self.arguments is None:
             defaults = [(f.name, f.default) for f in fields(self.cls)]
@@ -395,20 +439,23 @@ class Family:
 
     def law(self, maps: dict):
         """What a kernel with these parameter maps (name -> function of the
-        point) needs to evaluate the member at a point without building it:
-        (params, data, weight, root, name), where ``params(x)`` gives the
+        point) needs to evaluate or draw the member at a point without
+        building it: (params, family), where ``params(x)`` gives the
         member's checked parameters at x; None for Dirac."""
         if self.data is None:
             return None
         checked, getters = self.checked, self.arguments(maps)
-        if len(getters) == 2:
-            # Normal's two maps without a list per point: a 1000-step Normal
-            # chain's density takes about 1.5 times as long through the list.
+        # One or two maps without a list per point: a 1000-step Normal
+        # chain's density takes about 1.5 times as long through the list.
+        if len(getters) == 1:
+            (f,) = getters
+            params = lambda x: checked(f(x))  # noqa: E731
+        elif len(getters) == 2:
             f, g = getters
             params = lambda x: checked(f(x), g(x))  # noqa: E731
         else:
             params = lambda x: checked(*[g(x) for g in getters])  # noqa: E731
-        return params, self.data, self.weight, self.root, self.cls.__name__
+        return params, self
 
     def __call__(self, **params) -> MeasureExpr:
         self.check(params)
@@ -419,7 +466,8 @@ FAMILIES = {
     family.cls.__name__: family
     for family in (
         Family(Normal, ({"mu", "sigma"}, {"mu"}, {"sigma"}, set()),
-               _normal_checked, _normal_data, _normal_weight, LEBESGUE),
+               _normal_checked, _normal_data, _normal_weight, LEBESGUE,
+               units=2, draw=_normal_draw),
         Family(
             NegativeBinomial,
             ({"p", "r"}, {"alpha", "beta"}),
@@ -428,17 +476,20 @@ FAMILIES = {
             params=lambda m: dict(m.params),
             arguments=lambda maps: (lambda x: tuple((n, f(x)) for n, f in maps.items()),),
         ),
-        Family(Uniform01, (set(),), lambda: (), _uniform01_data, None, LEBESGUE),
-        Family(Bernoulli, ({"p"}, set()), _bernoulli_checked, _bernoulli_data, None, COUNTING),
+        Family(Uniform01, (set(),), lambda: (), _uniform01_data, None, LEBESGUE,
+               units=1, draw=_uniform01_draw),
+        Family(Bernoulli, ({"p"}, set()), _bernoulli_checked, _bernoulli_data, None, COUNTING,
+               units=1, draw=_bernoulli_draw),
         Family(Poisson, ({"rate"}, set()), _poisson_checked, _poisson_data, None, COUNTING),
         Family(Exponential, ({"rate"}, set()), _exponential_checked, _exponential_data,
-               math.log, LEBESGUE),
+               math.log, LEBESGUE, units=1, draw=_exponential_draw),
         Family(Dirac, ({"a"},), build=lambda a: Dirac(a), params=lambda m: {"a": m.atom}),
     )
 }
 for _family in FAMILIES.values():
     if _family.data is not None:  # not Dirac, which is its own base
         _family.cls._family = _family
+        _family.cls.draw_units = _family.units
 
 
 def make_normal(**params) -> Normal:
@@ -467,9 +518,8 @@ def make_simple(kind: str, **params) -> MeasureExpr:
 
 def _standard_normal(stream: rng.RandomStream) -> float:
     """One standard normal variate from a pair of uniforms (Box-Muller)."""
-    u1 = stream.unit()
-    u2 = stream.unit()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    # 0.0 + 1.0 * z is z but for the sign of a zero, which no caller reads.
+    return _normal_draw(stream.unit(), stream.unit(), 0.0, 1.0)
 
 
 def _poisson_inversion(stream: rng.RandomStream, rate: float) -> int:

@@ -102,7 +102,8 @@ def _kernel_terms(first: MeasureExpr, kernel, x):
                 m.check_point(cur)
             data = _unfold_into(m, cur, data, weights, bases)
         return data, weights, bases
-    params, term, weight, root, name = law
+    params, family = law
+    term, weight, root, name = family.data, family.weight, family.root, family.cls.__name__
     note = weights.append
     for prev, cur in zip(x, x[1:]):
         args = params(prev)
@@ -123,8 +124,10 @@ def _rejoined(weight: Optional[float], base: MeasureExpr) -> MeasureExpr:
 
 class _FixedProduct(_Product):
     """Independent product of the fixed measures ``children``: checks, masses
-    and draws run factor by factor, left to right.  A subclass declares
-    ``children``, the message of its length error and `_base_of`.
+    and draws run factor by factor, left to right; factors that each declare
+    ``draw_units`` draw from one block of their streams' leading uniforms.
+    A subclass declares ``children``, the message of its length error and
+    `_base_of`.
     """
 
     #: The ShapeError message for a point that is no tuple of the right length.
@@ -190,10 +193,14 @@ class _FixedProduct(_Product):
         return total
 
     def _sample_normalized(self, seed: int):
-        return tuple(
-            child._sample_normalized(rng.derive_key(seed, i))
-            for i, child in enumerate(self.children)
-        )
+        children = self.children
+        units = [child.draw_units for child in children]
+        if len(children) < rng.LANE_MIN or not min(units):
+            return tuple(child._sample_normalized(rng.derive_key(seed, i))
+                         for i, child in enumerate(children))
+        rows = (row for columns in rng.unit_chunks(seed, 0, max(units), len(children))
+                for row in zip(*columns))
+        return tuple(child._draw_from(row) for child, row in zip(children, rows))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ depend on the point (on the loops of `combinators._Product`).  Its density
 is one loop over the elements: for a family kernel each element maps the
 parameters, checks them and the element, and adds its data term and its
 base constant, with no measure built; an opaque kernel's element is the
-node it returns, checked and unfolded once.
+node it returns, checked and unfolded once.  A draw over a family kernel
+whose draws take a fixed number of uniforms builds no measure either: each
+step maps and checks the parameters and calls the family's draw.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import catalog, core, rng
@@ -53,9 +57,9 @@ class Kernel:
     measures for equal inputs.  The family, its parameter names and the maps
     are checked and resolved once, at construction: application calls the
     family's constructor directly, and a family kernel's ``_law``
-    (`catalog.Family.law`) lets a product evaluate an element without
-    building its measure.  The resolved form takes no part in equality,
-    hashing or repr.
+    (`catalog.Family.law`) lets a product evaluate an element, and a chain
+    draw one, without building its measure.  The resolved form takes no
+    part in equality, hashing or repr.
     """
 
     family: Optional[str] = None
@@ -162,22 +166,35 @@ def chain(step, initial: MeasureExpr) -> Chain:
 class ChainSample:
     """Seed-carrying lazy realization of a chain.
 
-    Element i is a deterministic function of (chain, seed, i); iterating the
-    same ChainSample twice reproduces the sequence exactly, and concurrent
-    iterators are independent.
+    Element i is a deterministic function of (chain, seed, i), drawn from
+    the stream ``derive_key(seed, i)``; iterating the same ChainSample twice
+    reproduces the sequence exactly, and concurrent iterators are
+    independent.
     """
 
     spec: Chain
     seed: int
 
     def __iter__(self):
-        state = self.spec.initial._sample(rng.derive_key(self.seed, 0))
+        spec, seed = self.spec, self.seed
+        state = spec.initial._sample(rng.derive_key(seed, 0))
         yield state
-        i = 1
-        while True:
-            state = self.spec.step(state)._sample(rng.derive_key(self.seed, i))
-            yield state
-            i += 1
+        law = spec.step._law
+        if law is not None and law[1].units:
+            # A family kernel whose draws take a fixed number of uniforms:
+            # each step maps and checks the parameters (``law``) and draws
+            # from its stream's leading uniforms, drawn many streams at
+            # once, with no measure built.
+            params, family = law
+            draw = family.draw
+            for columns in rng.unit_chunks(seed, 1, family.units):
+                for units in zip(*columns):
+                    state = draw(*units, *params(state))
+                    yield state
+        else:
+            for i in count(1):
+                state = spec.step(state)._sample(rng.derive_key(seed, i))
+                yield state
 
 
 def sample_chain(spec: Chain, seed: int) -> ChainSample:
@@ -187,4 +204,4 @@ def sample_chain(spec: Chain, seed: int) -> ChainSample:
 
 def chain_logdensity(spec: Chain, prefix: Sequence) -> LogWeight:
     """Data-dependent log-density of a finite chain prefix."""
-    return core.log_density(spec, tuple(prefix))
+    return core.log_density(spec, tuple(prefix) if isinstance(prefix, Iterable) else prefix)
