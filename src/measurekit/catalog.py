@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import attrgetter
-from typing import Any, Callable, Optional, Set, Tuple
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import rng
-from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _as_float, _is_scalar
+from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _add_up, _as_float, _is_scalar
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -192,6 +192,10 @@ class _Law(MeasureExpr):
         least ``draw_units`` of them)."""
         family = self._family
         return family.draw(*units[:family.units], *family.args(self))
+
+    def _data_block(self, xs) -> float:
+        family = self._family
+        return _add_up(map(family.data, xs, *[repeat(a) for a in family.args(self)]), 0.0)
 
     def _sample_block(self, seed: int, n: int) -> list:
         family = self._family
@@ -365,8 +369,39 @@ class NegativeBinomial(_Law):
 # ---------------------------------------------------------------------------
 
 
-def _constant(value):
-    return lambda x: value
+class Map(NamedTuple):
+    """A kernel's parameter map, resolved: ``point(x)`` is its value at a
+    point, ``column(xs)`` an iterable of its values at each point of a
+    sequence, and ``constant`` says whether it ignores the point."""
+
+    point: Callable[[Any], Any]
+    column: Callable[[Sequence], Iterable]
+    constant: bool = False
+
+
+def calls(f) -> Map:
+    """The map that calls f, once per point."""
+    return Map(f, lambda xs: map(f, xs))
+
+
+def constant(value) -> Map:
+    """The map that ignores the point and gives ``value``."""
+    return Map(lambda x: value, lambda xs: repeat(value, len(xs)), True)
+
+
+class Law(NamedTuple):
+    """What a kernel over a family needs to evaluate or draw the member at a
+    point without building it (`Family.law`)."""
+
+    params: Callable[[Any], tuple]  # the member's checked parameters at a point
+    column: Callable[[Sequence], list]  # ``params`` at each point of a sequence
+    fixed: bool  # whether every parameter ``family.weight`` reads is constant
+    family: "Family"
+
+
+def _negbinomial_arguments(maps: dict) -> tuple:
+    points = [(name, m.point) for name, m in maps.items()]
+    return (calls(lambda x: tuple([(name, f(x)) for name, f in points])),)
 
 
 @dataclass(frozen=True)
@@ -379,8 +414,9 @@ class Family:
     takes the values of the fields of ``cls`` in order and gives them back
     as floats, or raises ValueError for one out of range; ``data(x,
     *checked)`` is the data term at x; ``weight(*checked)`` the log constant
-    the base carries (None: the base is ``root`` itself); and ``root`` the
-    primitive measure the base ends at.  A member builds its base from
+    the base carries (None: the base is ``root`` itself), which reads only
+    the parameters named in ``weight_reads``; and ``root`` the primitive
+    measure the base ends at.  A member builds its base from
     ``weight`` and ``root`` (`base_at`), and a kernel over the family
     evaluates its members through them without building one (`law`).  Dirac
     declares none of them: its root is the member itself.  A family whose
@@ -392,9 +428,9 @@ class Family:
     ``build`` makes the measure from keyword parameters named as in one of
     the parameterizations, and ``params`` reads them back from a measure, in
     document order; both default to the fields of ``cls``.  ``arguments``
-    gives, from parameter maps by name, the functions of a point that give
-    the values ``checked`` takes; by default, each field's map or its
-    default.  Calling the family checks the names and builds.
+    gives, from parameter maps by name (`Map`), the maps that give the
+    values ``checked`` takes; by default, each field's map or its default.
+    Calling the family checks the names and builds.
     """
 
     cls: type
@@ -403,6 +439,7 @@ class Family:
     data: Optional[Callable[..., float]] = None
     weight: Optional[Callable[..., float]] = None
     root: Optional[MeasureExpr] = None
+    weight_reads: Tuple[str, ...] = ()
     build: Optional[Callable[..., MeasureExpr]] = None
     params: Optional[Callable[[MeasureExpr], dict]] = None
     arguments: Optional[Callable[[dict], tuple]] = None
@@ -422,7 +459,7 @@ class Family:
         if self.arguments is None:
             defaults = [(f.name, f.default) for f in fields(self.cls)]
             object.__setattr__(self, "arguments", lambda maps: tuple(
-                maps.get(name) or _constant(default) for name, default in defaults))
+                maps.get(name) or constant(default) for name, default in defaults))
 
     def check(self, names) -> None:
         """Raise ValueError unless the names form one parameterization."""
@@ -437,25 +474,29 @@ class Family:
                 )
             )
 
-    def law(self, maps: dict):
-        """What a kernel with these parameter maps (name -> function of the
-        point) needs to evaluate or draw the member at a point without
-        building it: (params, family), where ``params(x)`` gives the
-        member's checked parameters at x; None for Dirac."""
+    def law(self, maps: dict) -> Optional[Law]:
+        """The `Law` of a kernel with these parameter maps (name -> `Map`);
+        None for Dirac."""
         if self.data is None:
             return None
-        checked, getters = self.checked, self.arguments(maps)
+        checked, args = self.checked, self.arguments(maps)
         # One or two maps without a list per point: a 1000-step Normal
-        # chain's density takes about 1.5 times as long through the list.
-        if len(getters) == 1:
-            (f,) = getters
+        # chain takes about 1.5 times as long through the list.
+        if len(args) == 1:
+            ((f, c, _),) = args
             params = lambda x: checked(f(x))  # noqa: E731
-        elif len(getters) == 2:
-            f, g = getters
+            column = lambda xs: list(map(checked, c(xs)))  # noqa: E731
+        elif len(args) == 2:
+            (f, c, _), (g, d, _) = args
             params = lambda x: checked(f(x), g(x))  # noqa: E731
+            column = lambda xs: list(map(checked, c(xs), d(xs)))  # noqa: E731
         else:
+            getters = [m.point for m in args]
             params = lambda x: checked(*[g(x) for g in getters])  # noqa: E731
-        return params, self
+            column = lambda xs: [params(x) for x in xs]  # noqa: E731
+        names = [f.name for f in fields(self.cls)]
+        fixed = all(args[names.index(name)].constant for name in self.weight_reads)
+        return Law(params, column, fixed, self)
 
     def __call__(self, **params) -> MeasureExpr:
         self.check(params)
@@ -466,7 +507,7 @@ FAMILIES = {
     family.cls.__name__: family
     for family in (
         Family(Normal, ({"mu", "sigma"}, {"mu"}, {"sigma"}, set()),
-               _normal_checked, _normal_data, _normal_weight, LEBESGUE,
+               _normal_checked, _normal_data, _normal_weight, LEBESGUE, ("sigma",),
                units=2, draw=_normal_draw),
         Family(
             NegativeBinomial,
@@ -474,7 +515,7 @@ FAMILIES = {
             _negbinomial_checked, _negbinomial_data, None, COUNTING,
             build=lambda **params: NegativeBinomial(tuple(params.items())),
             params=lambda m: dict(m.params),
-            arguments=lambda maps: (lambda x: tuple((n, f(x)) for n, f in maps.items()),),
+            arguments=_negbinomial_arguments,
         ),
         Family(Uniform01, (set(),), lambda: (), _uniform01_data, None, LEBESGUE,
                units=1, draw=_uniform01_draw),
@@ -482,7 +523,7 @@ FAMILIES = {
                units=1, draw=_bernoulli_draw),
         Family(Poisson, ({"rate"}, set()), _poisson_checked, _poisson_data, None, COUNTING),
         Family(Exponential, ({"rate"}, set()), _exponential_checked, _exponential_data,
-               math.log, LEBESGUE, units=1, draw=_exponential_draw),
+               math.log, LEBESGUE, ("rate",), units=1, draw=_exponential_draw),
         Family(Dirac, ({"a"},), build=lambda a: Dirac(a), params=lambda m: {"a": m.atom}),
     )
 }

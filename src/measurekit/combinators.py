@@ -10,7 +10,10 @@ points and share one set of loops (`_Product`): each declares only its
 factors at a point and how their bases make its base.  `Product` and
 `ForProduct` have fixed factors (`_FixedProduct`); a ForProduct applies its
 kernel once per index, when it is built.  The factors of `Bind` and `Chain`
-depend on the point.
+depend on the point; over a family kernel they are read over columns of
+the elements (`_column_terms`), with no measure built.  `Pushforward` and
+`PointwiseProduct` over such a measure check the point as they evaluate it,
+as `Power` and the fixed products do, so a kernel runs once per element.
 """
 
 from __future__ import annotations
@@ -85,11 +88,14 @@ def _unfold_into(m: MeasureExpr, xi, data: float, weights: list, bases: list) ->
 
 def _kernel_terms(first: MeasureExpr, kernel, x):
     """`_Product._terms` of a product whose factor 0 is ``first`` and whose
-    factor i >= 1 is kernel(x[i - 1]), in one loop over the elements, each
-    checked as it goes.  A family kernel (`kernels.Kernel._law`) builds no
-    measure: per element it maps and checks the parameters, checks the
-    element, adds the family's data term, and notes its base weight and
-    root.  Any other kernel's element is the node it returns."""
+    factor i >= 1 is kernel(x[i - 1]), each element checked as it is read.
+    A family kernel (`kernels.Kernel._law`) builds no measure.  From
+    `_COLUMNS_MIN` elements on they are read over columns (`_column_terms`);
+    fewer, and any the columns decline or raise on, are read one by one by
+    the loop below, which maps and checks each element's parameters, checks
+    the element, adds the family's data term and notes its base weight, and
+    so gives the value, or the error of the first element that has one.
+    Any other kernel's element is the node it returns."""
     weights, bases = [], []
     if not first.self_checking:
         first.check_point(x[0])
@@ -102,8 +108,17 @@ def _kernel_terms(first: MeasureExpr, kernel, x):
                 m.check_point(cur)
             data = _unfold_into(m, cur, data, weights, bases)
         return data, weights, bases
-    params, family = law
-    term, weight, root, name = family.data, family.weight, family.root, family.cls.__name__
+    params, _, _, family = law
+    bases.extend(repeat(family.root, len(x) - 1))
+    if len(x) > _COLUMNS_MIN:
+        try:
+            total = _column_terms(law, x, data, weights)
+        except Exception:  # the loop below raises it again, at its element
+            total = None
+        if total is not None:
+            return total, weights, bases
+        del weights[1:]
+    term, weight, name = family.data, family.weight, family.cls.__name__
     note = weights.append
     for prev, cur in zip(x, x[1:]):
         args = params(prev)
@@ -112,8 +127,38 @@ def _kernel_terms(first: MeasureExpr, kernel, x):
             raise core._not_scalar(name, cur)
         data += term(cur, *args)
         note(None if weight is None else weight(*args))
-    bases.extend(repeat(root, len(x) - 1))
     return data, weights, bases
+
+
+#: The fewest elements a family kernel's product reads over columns.  The
+#: columns cost a fixed set-up, so below about this many the loop is faster
+#: (a one-element `Bind`'s density, say).
+_COLUMNS_MIN = 8
+
+_PLAIN = frozenset((float, int))
+
+
+def _column_terms(law, x, data: float, weights: list) -> Optional[float]:
+    """data plus the family's data terms of x[1:], the elements of a product
+    over a family kernel, each at the parameters the law maps x[i - 1] to,
+    added left to right as the loop of `_kernel_terms` adds them; their base
+    weights go to ``weights``.  Each parameter map, the check and the data
+    term run over whole columns; the weight runs once when the parameters
+    it reads are constant.  None where an element is no float or int."""
+    cur = x[1:]
+    if not _PLAIN.issuperset(map(type, cur)):
+        return None
+    _, column, fixed, family = law
+    params = column(x[:-1])
+    args = tuple(zip(*params))  # one column per checked parameter
+    weight = family.weight
+    if weight is None:
+        weights += [None] * len(cur)
+    elif fixed:
+        weights += [weight(*params[0])] * len(cur)
+    else:
+        weights.extend(map(weight, *args))
+    return core._add_up(map(family.data, cur, *args), data)
 
 
 def _rejoined(weight: Optional[float], base: MeasureExpr) -> MeasureExpr:
@@ -381,6 +426,10 @@ class Power(MeasureExpr):
 
     def check_point(self, x) -> None:
         _check_shape(x, self.shape, self.child)
+
+    def _checked_shape(self):
+        inner = self.child._checked_shape()
+        return None if inner is None else self.shape + inner
 
     def log_density_at(self, x) -> float:
         if self.self_checking:
@@ -660,13 +709,19 @@ def loglik(lik: Likelihood, p) -> LogWeight:
 
 @dataclass(frozen=True)
 class PointwiseProduct(MeasureExpr):
-    """Prior-times-likelihood measure; keeps the prior's base measure."""
+    """Prior-times-likelihood measure; keeps the prior's base measure.
+
+    Over a self-checking prior (a chain, say) it is self-checking, and one
+    step down its chain unfolds the prior once.
+    """
 
     prior: MeasureExpr
     likelihood: Likelihood
 
     def __post_init__(self):
         object.__setattr__(self, "static_base", self.prior.static_base)
+        if self.prior.self_checking:
+            object.__setattr__(self, "self_checking", True)
 
     def check_point(self, x) -> None:
         self.prior.check_point(x)
@@ -677,6 +732,13 @@ class PointwiseProduct(MeasureExpr):
 
     def base_at(self, x) -> MeasureExpr:
         return self.prior.base_at(x)
+
+    def unfold(self, x):
+        step = self.prior.unfold(x)
+        if step is None:  # a prior that is its own base is the base of this
+            return MeasureExpr.unfold(self, x)
+        lik = self.likelihood
+        return step[0] + _log_density(lik.kernel(x), lik.x), step[1]
 
 
 def pointwise_product(mu: MeasureExpr, lik: Likelihood) -> PointwiseProduct:
@@ -920,6 +982,19 @@ class Pushforward(MeasureExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "static_base", self.inner.static_base)
+        if self.inner.self_checking:
+            object.__setattr__(self, "self_checking", True)
+
+    # Over a self-checking inner measure (a chain, say) it is self-checking:
+    # each method maps the point as `check_point` does, and the inner
+    # measure checks the source point as it evaluates it.  The two methods
+    # that walk plans replay map it inline.
+
+    def _source(self, x):
+        try:
+            return self.map.to_source(x)
+        except (TypeError, IndexError):
+            raise ShapeError(f"point {x!r} does not match the affine map") from None
 
     def check_point(self, x) -> None:
         try:
@@ -929,10 +1004,20 @@ class Pushforward(MeasureExpr):
         self.inner.check_point(z)
 
     def log_density_at(self, x) -> float:
-        return self.inner.log_density_at(self.map.to_source(x))
+        try:
+            z = self.map.to_source(x)
+        except (TypeError, IndexError):
+            raise ShapeError(f"point {x!r} does not match the affine map") from None
+        return self.inner.log_density_at(z)
 
     def base_at(self, x) -> MeasureExpr:
-        return pushforward(self.map, self.inner.base_at(self.map.to_source(x)))
+        return pushforward(self.map, self.inner.base_at(self._source(x)))
+
+    def unfold(self, x):
+        step = self.inner.unfold(self._source(x))
+        if step is None:  # an inner fixed point: this is one too, or an atom is its base
+            return MeasureExpr.unfold(self, x)
+        return step[0], pushforward(self.map, step[1])
 
     def reference_class(self):
         ref = self.inner.reference_class()

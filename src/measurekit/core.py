@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Any, NamedTuple, Optional, Tuple
 
 from . import rng
@@ -206,6 +208,12 @@ def _logsumexp(values) -> float:
     return reduce(_logaddexp, values)
 
 
+#: ``_add_up(values, start)``: start plus the values, added left to right
+#: as a loop of ``+=`` adds them, so a sum over a column keeps the loop's
+#: bits.  `sum` does so before Python 3.12, which compensates float sums.
+_add_up = sum if sys.version_info < (3, 12) else partial(reduce, operator.add)
+
+
 def logaddexp(a, b) -> LogWeight:
     """log(e^a + e^b), overflow-safe via max-shift.
 
@@ -299,6 +307,13 @@ class MeasureExpr:
         t = type(x)
         if t is not float and t is not int and not _is_scalar(x):
             raise _not_scalar(type(self).__name__, x)
+
+    def _checked_shape(self) -> Optional[Tuple[int, ...]]:
+        """The shape of nested tuples of scalars that `check_point` accepts
+        and nothing else, () for a scalar, when the check is the default
+        scalar check under iid powers and constant weights; else None.  Two
+        measures of one such shape accept the same points."""
+        return () if type(self).check_point is MeasureExpr.check_point else None
 
     def log_density_at(self, x) -> float:
         """Log-density against this measure's own base measure at x."""
@@ -470,6 +485,9 @@ class Weighted(MeasureExpr):
     def check_point(self, x) -> None:
         self.base.check_point(x)
 
+    def _checked_shape(self):
+        return self.base._checked_shape()
+
     def log_density_at(self, x) -> float:
         _count_weight_evaluation()
         return self.logweight
@@ -558,14 +576,16 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
             wrt.check_point(x)
         return _recurse(m, wrt, x)
     m.check_point(x)  # a static-base node is never self-checking
-    wrt.check_point(x)
     seen = False
     for target, plan in m._plans:
         if target is wrt:
             if plan is not None:
+                if not plan[-1]:  # unless m's check, just passed, implies wrt's
+                    wrt.check_point(x)
                 return _replay(plan, m, x)
             seen = True
             break
+    wrt.check_point(x)
     # Each memo update is one tuple swap, so a concurrent reader sees the old
     # or the new memo.
     if not seen:
@@ -576,8 +596,13 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
         return _recurse(m, wrt, x, plan)
     finally:
         if plan:
+            # The kept plan notes whether both check the same shape by the
+            # default scalar check (Power(Normal, n) against Lebesgue^n), so
+            # a replay scans the point once.
+            shape = m._checked_shape()
+            same = shape is not None and shape == wrt._checked_shape()
             kept = tuple(entry for entry in m._plans if entry[0] is not wrt)
-            object.__setattr__(m, "_plans", ((wrt, plan[0]),) + kept[: _PLAN_SLOTS - 1])
+            object.__setattr__(m, "_plans", ((wrt, plan[0] + (same,)),) + kept[: _PLAN_SLOTS - 1])
 
 
 def _over_self_checking(m: MeasureExpr) -> bool:
@@ -715,9 +740,9 @@ def _replay(plan, mu, x) -> float:
     The same data terms are summed in the same order as the walk sums them,
     with the same NaN exits, then the meeting or the rule that ended the
     walk is applied again; so the value, and any error, is the walk's.  The
-    plan names mu as None.
+    plan names mu as None; its last entry is `_log_density`'s.
     """
-    head, tail, targets, end, a, b = plan
+    head, tail, targets, end, a, b, _ = plan
     num = 0.0
     for node in head:
         num += (mu if node is None else node).log_density_at(x)

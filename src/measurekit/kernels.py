@@ -5,13 +5,18 @@ per-parameter maps or as an opaque function.  Chains pair a starting
 probability measure with a kernel on the state space; sampling a chain gives
 a seed-carrying lazy infinite iterator, and finite prefixes have
 data-dependent log-densities.  A chain prefix is a product whose factors
-depend on the point (on the loops of `combinators._Product`).  Its density
-is one loop over the elements: for a family kernel each element maps the
-parameters, checks them and the element, and adds its data term and its
-base constant, with no measure built; an opaque kernel's element is the
-node it returns, checked and unfolded once.  A draw over a family kernel
-whose draws take a fixed number of uniforms builds no measure either: each
-step maps and checks the parameters and calls the family's draw.
+depend on the point (on the loops of `combinators._Product`).  For a family
+kernel its density builds no measure and runs over columns: a kernel
+resolves each parameter map once, at construction, to its value at a point
+and its values over a column of points (`catalog.Map`), so the map of the
+previous elements, the parameter check, the elements' type check and the
+data term each run once over their column, and the base constant once when
+the parameters it reads are constant; a short prefix, and one where an
+element raises, is read by the per-element loop, which raises at that
+element.  An opaque kernel's element is the node it returns, checked and
+unfolded once.  A draw over a family kernel whose draws take a fixed number
+of uniforms builds no measure either: each step maps and checks the
+parameters and calls the family's draw.
 """
 
 from __future__ import annotations
@@ -29,22 +34,25 @@ from .core import LogWeight, MeasureExpr, NotProbabilityError, ShapeError
 # Closed vocabulary of serializable parameter maps.
 
 
-def resolve_map(spec):
-    """Resolve a parameter map: a callable, or one of the named forms
-    "identity", "sqrt", "const:<v>", "affine:<a>:<b>"."""
+def resolve_map(spec) -> catalog.Map:
+    """Resolve a parameter map, a callable or one of the named forms
+    "identity", "sqrt", "const:<v>", "affine:<a>:<b>", to its value at a
+    point and over a column of points: the column of "identity" is the
+    points themselves, that of "const:<v>" repeats v, that of
+    "affine:<a>:<b>" is one comprehension, and a callable or "sqrt" is
+    mapped over the points."""
     if callable(spec):
-        return spec
+        return catalog.calls(spec)
     if spec == "identity":
-        return lambda x: x
+        return catalog.Map(lambda x: x, lambda xs: xs)
     if spec == "sqrt":
-        return math.sqrt
+        return catalog.calls(math.sqrt)
     if isinstance(spec, str) and spec.startswith("const:"):
-        value = float(spec.split(":", 1)[1])
-        return lambda x: value
+        return catalog.constant(float(spec.split(":", 1)[1]))
     if isinstance(spec, str) and spec.startswith("affine:") and spec.count(":") == 2:
         _, a, b = spec.split(":")
         a, b = float(a), float(b)
-        return lambda x: a * x + b
+        return catalog.Map(lambda x: a * x + b, lambda xs: [a * x + b for x in xs])
     raise ValueError(f"unknown parameter map {spec!r}")
 
 
@@ -57,16 +65,16 @@ class Kernel:
     measures for equal inputs.  The family, its parameter names and the maps
     are checked and resolved once, at construction: application calls the
     family's constructor directly, and a family kernel's ``_law``
-    (`catalog.Family.law`) lets a product evaluate an element, and a chain
-    draw one, without building its measure.  The resolved form takes no
-    part in equality, hashing or repr.
+    (`catalog.Family.law`) lets a product evaluate its elements over
+    columns, and a chain draw one, without building a measure.  The
+    resolved form takes no part in equality, hashing or repr.
     """
 
     family: Optional[str] = None
     maps: Tuple[Tuple[str, Any], ...] = ()
     fn: Optional[Callable[[Any], MeasureExpr]] = None
     _apply: Callable[[Any], MeasureExpr] = field(init=False, repr=False, compare=False)
-    _law: Optional[tuple] = field(init=False, repr=False, compare=False)
+    _law: Optional[catalog.Law] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         law = None
@@ -79,11 +87,12 @@ class Kernel:
                 raise ValueError(f"unknown measure family {self.family!r}") from None
             family.check(name for name, _ in self.maps)
             build = family.build
-            resolved = tuple((name, resolve_map(spec)) for name, spec in self.maps)
-            law = family.law(dict(resolved))
+            resolved = {name: resolve_map(spec) for name, spec in self.maps}
+            law = family.law(resolved)
+            points = tuple((name, m.point) for name, m in resolved.items())
 
             def apply(x):
-                return build(**{name: f(x) for name, f in resolved})
+                return build(**{name: f(x) for name, f in points})
 
         object.__setattr__(self, "_apply", apply)
         object.__setattr__(self, "_law", law)
@@ -180,12 +189,12 @@ class ChainSample:
         state = spec.initial._sample(rng.derive_key(seed, 0))
         yield state
         law = spec.step._law
-        if law is not None and law[1].units:
+        if law is not None and law.family.units:
             # A family kernel whose draws take a fixed number of uniforms:
             # each step maps and checks the parameters (``law``) and draws
             # from its stream's leading uniforms, drawn many streams at
             # once, with no measure built.
-            params, family = law
+            params, family = law.params, law.family
             draw = family.draw
             for columns in rng.unit_chunks(seed, 1, family.units):
                 for units in zip(*columns):
