@@ -7,20 +7,22 @@ data term is -inf, never an error.
 
 `FAMILIES` declares, once per family, the accepted parameter name sets, how
 document names map to fields, and the family's parameter check, data term,
-base weight and root as functions of its parameters, and, for a family whose
-draw takes a fixed number of uniforms, its draw as a function of them and of
-the parameters; construction, kernels, the document format and the family's
-classes all read it.  Construction dispatches on the names given and never
+base weight and root as functions of its parameters, and its draw from a
+stream; a family whose draw takes a fixed number of uniforms declares it
+once, as a standard draw and its placement at the parameters (`Lanes`).
+Construction, kernels, the document format and the family's classes all
+read it.  Construction dispatches on the names given and never
 converts between parameterizations.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import attrgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import rng
 from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _add_up, _as_float, _is_scalar
@@ -50,10 +52,10 @@ def log_binomial(n: float, k: float) -> float:
 # Each family's facts are written once, as functions of its parameters:
 # ``_<family>_checked`` converts them to floats and rejects a value out of
 # range, ``_<family>_data`` is the data term at a point,
-# ``_<family>_weight`` the log constant its base carries, and
-# ``_<family>_draw`` a draw from the leading uniforms of a stream.  The
-# classes below and a kernel's element loops (`kernels.Kernel`) both call
-# them, except that `Normal` inlines its data term and the in-range case of
+# ``_<family>_weight`` the log constant its base carries, and, for a family
+# whose draw is no fixed function of a few uniforms, ``_<family>_draw`` a
+# draw from a stream.  The classes below and a kernel's element loops
+# (`kernels.Kernel`) both call them, except that `Normal` inlines its data term and the in-range case of
 # its check, which mixtures reach once per component.
 
 
@@ -81,17 +83,8 @@ def _normal_weight(mu, sigma) -> float:
     return -math.log(sigma) - _HALF_LOG_TWO_PI
 
 
-def _normal_draw(u1, u2, mu, sigma) -> float:
-    # Box-Muller on a pair of uniforms.
-    return mu + sigma * (math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
-
-
 def _uniform01_data(x) -> float:
     return 0.0 if 0.0 <= x <= 1.0 else -math.inf
-
-
-def _uniform01_draw(u) -> float:
-    return u
 
 
 def _positive_rate(family: str):
@@ -115,10 +108,6 @@ def _exponential_data(x, rate) -> float:
         return -math.inf
 
 
-def _exponential_draw(u, rate) -> float:
-    return -math.log(u) / rate
-
-
 def _bernoulli_checked(p) -> tuple:
     p = _as_float(p)
     if not 0.0 <= p <= 1.0:
@@ -132,10 +121,6 @@ def _bernoulli_data(x, p) -> float:
     if x == 0:
         return math.log1p(-p) if p < 1.0 else -math.inf
     return -math.inf
-
-
-def _bernoulli_draw(u, p) -> int:
-    return 1 if u < p else 0
 
 
 def _poisson_data(x, rate) -> float:
@@ -179,19 +164,13 @@ class _Law(MeasureExpr):
     Its fields are its family's parameters, checked by the family's
     ``checked`` on construction.  Its base is the family's ``root``; a class
     whose family declares a ``weight`` puts the root under the weight of its
-    fields.  A class whose family declares a ``draw`` draws an iid block,
-    or a factor of a product, from the leading uniforms of many streams at
-    once (`rng.unit_chunks`).
+    fields.  It draws as its family's ``sample`` does; a class whose family
+    declares `Lanes` draws an iid block from the words of many streams at
+    once.
     """
 
     static_base = True
     _family = None  # its `Family`, bound where `FAMILIES` is declared
-
-    def _draw_from(self, units):
-        """Its draw from ``units``, the leading uniforms of its stream (at
-        least ``draw_units`` of them)."""
-        family = self._family
-        return family.draw(*units[:family.units], *family.args(self))
 
     def _data_block(self, xs) -> float:
         family = self._family
@@ -199,13 +178,9 @@ class _Law(MeasureExpr):
 
     def _sample_block(self, seed: int, n: int) -> list:
         family = self._family
-        if not family.units or n < rng.LANE_MIN:  # one draw at a time is the faster
+        if family.lanes is None or n < rng.LANE_MIN:  # one draw at a time is the faster
             return MeasureExpr._sample_block(self, seed, n)
-        draw, args = family.draw, [repeat(a) for a in family.args(self)]
-        block = []
-        for columns in rng.unit_chunks(seed, 0, family.units, n):
-            block.extend(map(draw, *columns, *args))
-        return block
+        return family.lanes.block(seed, n, family.args(self))
 
     def base_at(self, x) -> MeasureExpr:
         return self._family.root
@@ -249,8 +224,7 @@ class Normal(_Law):
         return Weighted(family.weight(self.mu, self.sigma), family.root)
 
     def _sample_normalized(self, seed: int):
-        stream = rng.RandomStream(seed)
-        return _normal_draw(stream.unit(), stream.unit(), self.mu, self.sigma)
+        return self._family.sample(rng.RandomStream(seed), self.mu, self.sigma)
 
     def _data_block(self, xs) -> float:
         mu, sigma = self.mu, self.sigma
@@ -272,7 +246,7 @@ class Uniform01(_Law):
         return _uniform01_data(x)
 
     def _sample_normalized(self, seed: int):
-        return _uniform01_draw(rng.RandomStream(seed).unit())
+        return self._family.sample(rng.RandomStream(seed))
 
 
 @dataclass(frozen=True)
@@ -292,7 +266,7 @@ class Exponential(_Law):
         return Weighted(family.weight(self.rate), family.root)
 
     def _sample_normalized(self, seed: int):
-        return _exponential_draw(rng.RandomStream(seed).unit(), self.rate)
+        return self._family.sample(rng.RandomStream(seed), self.rate)
 
 
 @dataclass(frozen=True)
@@ -308,7 +282,7 @@ class Bernoulli(_Law):
         return _bernoulli_data(x, self.p)
 
     def _sample_normalized(self, seed: int):
-        return _bernoulli_draw(rng.RandomStream(seed).unit(), self.p)
+        return self._family.sample(rng.RandomStream(seed), self.p)
 
 
 @dataclass(frozen=True)
@@ -350,18 +324,7 @@ class NegativeBinomial(_Law):
         return _negbinomial_data(x, self.params)
 
     def _sample_normalized(self, seed: int):
-        (first, a), (_, b) = self.params
-        if first == "p":
-            r, scale = b, (1.0 - a) / a
-        else:
-            r, scale = a, 1.0 / b
-        stream = rng.RandomStream(seed)
-        lam = _gamma_draw(stream, r) * scale
-        if not lam < _INF:
-            raise ValueError(f"NegativeBinomial{dict(self.params)} draw overflows: rate {lam}")
-        if lam == 0.0:
-            return 0
-        return _poisson_draw(stream, lam)
+        return _negbinomial_draw(rng.RandomStream(seed), self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +367,99 @@ def _negbinomial_arguments(maps: dict) -> tuple:
     return (calls(lambda x: tuple([(name, f(x)) for name, f in points])),)
 
 
+# A `Lanes` compiles these functions from its two expressions: {draw} is
+# ``place`` at z = ``noise``, in uniforms; {word_noise} and {word_draw} read
+# each uniform from its word; {target} unpacks a tuple of parameters.
+_LANE_SOURCE = """\
+def sample(stream{params}):
+{stream_units}
+    return {draw}
+
+def block({columns}{params}):
+    return [{word_draw} for {word_rows}]
+
+def noise({columns}):
+    return [{word_noise} for {word_rows}]
+
+def unit_noise({columns}):
+    return [{noise} for {unit_rows}]
+
+def placed(zs, ps):
+    return [{place} for z, {target} in zip(zs, ps)]
+
+def walk(zs, params, state):
+    for z in zs:
+        {target} = params(state)
+        state = {place}
+        yield state
+    return state
+"""
+_LANE_NAMES = {"sqrt": math.sqrt, "log": math.log, "cos": math.cos, "TWO_PI": _TWO_PI,
+               "S": 2.0 ** -53}
+
+
+class Lanes:
+    """A draw from a fixed number of uniforms, written once and compiled into
+    the form each caller needs.
+
+    ``noise`` is the standard draw: an expression in the uniforms ``u1``,
+    ``u2``, ... of a stream that reads no parameter.  ``place`` is an
+    expression in that draw ``z`` and the ``params`` names: the draw at those
+    parameters.  ``sample(stream, *params)`` is their composition, drawn
+    from a stream's leading uniforms.  Over columns of the words of many
+    streams (`rng.word_chunks`), uniform c being ``(w_c + 0.5) * 2**-53``,
+    each form is one comprehension per chunk: `block` draws an iid block at
+    fixed parameters, `noise` gives the standard draws, ``placed(zs, ps)``
+    puts standard draws at a sequence of parameter tuples, and
+    ``walk(zs, params, state)`` steps a chain whose parameters
+    ``params(state)`` follow its state, yielding each element and returning
+    the last.  Every form gives the bits of ``sample``.
+    """
+
+    def __init__(self, noise: str, place: str, params: Sequence[str], name: str):
+        units = max(int(c) for c in re.findall(r"\bu(\d+)\b", noise))
+        us, ws, columns = ([f"{v}{c}" for c in range(1, units + 1)] for v in "uwc")
+
+        def rows(names):
+            if units == 1:
+                return f"{names[0]} in c1"
+            return f"{', '.join(names)} in zip({', '.join(columns)})"
+
+        def placing(z):
+            return re.sub(r"\bz\b", f"({z})", place)
+
+        word_noise = re.sub(r"\bu(\d+)\b", r"((w\1 + 0.5) * S)", noise)
+        source = _LANE_SOURCE.format(
+            params="".join(", " + p for p in params),
+            columns=", ".join(columns), stream_units="\n".join(f"    {u} = stream.unit()" for u in us),
+            draw=placing(noise), word_draw=placing(word_noise), noise=noise, word_noise=word_noise,
+            word_rows=rows(ws), unit_rows=rows(us),
+            place=place, target="(%s)" % "".join(p + ", " for p in params).rstrip(" "))
+        namespace = dict(_LANE_NAMES)
+        exec(compile(source, f"<lanes of {name}>", "exec"), namespace)
+        self.units = units
+        self.sample, self.placed, self.walk = namespace["sample"], namespace["placed"], namespace["walk"]
+        self._block, self._noise, self._unit_noise = (
+            namespace["block"], namespace["noise"], namespace["unit_noise"])
+
+    def block(self, seed: int, n: int, args: tuple) -> list:
+        """The draws at parameters ``args`` from the streams
+        ``derive_key(seed, i)``, i < n."""
+        out = []
+        for columns, words in rng.word_chunks(seed, 0, self.units, n):
+            if words:
+                out.extend(self._block(*columns, *args))
+            else:  # a chunk that holds the all-ones word comes as uniforms
+                out.extend(self.placed(self._unit_noise(*columns), repeat(args)))
+        return out
+
+    def noise(self, seed: int, start: int, n: Optional[int] = None) -> Iterator[list]:
+        """The standard draws from the streams ``derive_key(seed, i)``, i from
+        start on, a chunk at a time as `rng.word_chunks` gives them."""
+        for columns, words in rng.word_chunks(seed, start, self.units, n):
+            yield (self._noise if words else self._unit_noise)(*columns)
+
+
 @dataclass(frozen=True)
 class Family:
     """A catalog family, declared once for constructors, kernels, documents
@@ -419,11 +475,15 @@ class Family:
     measure the base ends at.  A member builds its base from
     ``weight`` and ``root`` (`base_at`), and a kernel over the family
     evaluates its members through them without building one (`law`).  Dirac
-    declares none of them: its root is the member itself.  A family whose
-    draw takes a fixed number ``units`` of leading uniforms of a stream
-    declares ``draw(*uniforms, *checked)``, the draw from them; iid blocks,
-    product factors and chain steps draw the uniforms of many streams at
-    once and call it.  A family without (``units`` 0) draws from a stream.
+    declares none of them: its root is the member itself.  A member draws
+    with ``sample(stream, *checked)``, as does a kernel over the family,
+    with no member built.  A family whose draw takes a fixed number of
+    uniforms declares instead ``draw``, a pair of expressions: its standard
+    draw in the uniforms and the placement of that draw ``z`` at the fields
+    (`Lanes`, found as ``lanes``; ``sample`` is its draw from a stream).  Its
+    iid blocks, the factors of a product of its members, and the steps of a
+    chain over a kernel of it then draw the words of many streams at once
+    and turn each chunk into draws in one comprehension.
 
     ``build`` makes the measure from keyword parameters named as in one of
     the parameterizations, and ``params`` reads them back from a measure, in
@@ -443,15 +503,23 @@ class Family:
     build: Optional[Callable[..., MeasureExpr]] = None
     params: Optional[Callable[[MeasureExpr], dict]] = None
     arguments: Optional[Callable[[dict], tuple]] = None
-    units: int = 0
-    draw: Optional[Callable[..., Any]] = None
+    draw: Optional[Tuple[str, str]] = None
+    sample: Optional[Callable[..., Any]] = None
 
     def __post_init__(self):
         # ``args(m)``: the fields of a member in order, the parameters the
         # family's functions take (attrgetter gives a tuple for two or more).
         names = [f.name for f in fields(self.cls)]
-        args = attrgetter(*names) if len(names) > 1 else lambda m: tuple([getattr(m, n) for n in names])
+        if len(names) == 1:
+            field = attrgetter(*names)
+            args = lambda m: (field(m),)  # noqa: E731
+        else:
+            args = attrgetter(*names) if names else lambda m: ()
         object.__setattr__(self, "args", args)
+        lanes = None if self.draw is None else Lanes(*self.draw, names, self.cls.__name__)
+        object.__setattr__(self, "lanes", lanes)
+        if lanes is not None:
+            object.__setattr__(self, "sample", lanes.sample)
         if self.build is None:
             object.__setattr__(self, "build", self.cls)
         if self.params is None:
@@ -508,7 +576,8 @@ FAMILIES = {
     for family in (
         Family(Normal, ({"mu", "sigma"}, {"mu"}, {"sigma"}, set()),
                _normal_checked, _normal_data, _normal_weight, LEBESGUE, ("sigma",),
-               units=2, draw=_normal_draw),
+               draw=("sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2)",  # Box-Muller
+                     "mu + sigma * z")),
         Family(
             NegativeBinomial,
             ({"p", "r"}, {"alpha", "beta"}),
@@ -516,21 +585,22 @@ FAMILIES = {
             build=lambda **params: NegativeBinomial(tuple(params.items())),
             params=lambda m: dict(m.params),
             arguments=_negbinomial_arguments,
+            sample=lambda stream, params: _negbinomial_draw(stream, params),  # defined below
         ),
         Family(Uniform01, (set(),), lambda: (), _uniform01_data, None, LEBESGUE,
-               units=1, draw=_uniform01_draw),
+               draw=("u1", "z")),
         Family(Bernoulli, ({"p"}, set()), _bernoulli_checked, _bernoulli_data, None, COUNTING,
-               units=1, draw=_bernoulli_draw),
-        Family(Poisson, ({"rate"}, set()), _poisson_checked, _poisson_data, None, COUNTING),
+               draw=("u1", "1 if z < p else 0")),
+        Family(Poisson, ({"rate"}, set()), _poisson_checked, _poisson_data, None, COUNTING,
+               sample=lambda stream, rate: _poisson_draw(stream, rate)),
         Family(Exponential, ({"rate"}, set()), _exponential_checked, _exponential_data,
-               math.log, LEBESGUE, ("rate",), units=1, draw=_exponential_draw),
+               math.log, LEBESGUE, ("rate",), draw=("-log(u1)", "z / rate")),
         Family(Dirac, ({"a"},), build=lambda a: Dirac(a), params=lambda m: {"a": m.atom}),
     )
 }
 for _family in FAMILIES.values():
     if _family.data is not None:  # not Dirac, which is its own base
         _family.cls._family = _family
-        _family.cls.draw_units = _family.units
 
 
 def make_normal(**params) -> Normal:
@@ -560,7 +630,7 @@ def make_simple(kind: str, **params) -> MeasureExpr:
 def _standard_normal(stream: rng.RandomStream) -> float:
     """One standard normal variate from a pair of uniforms (Box-Muller)."""
     # 0.0 + 1.0 * z is z but for the sign of a zero, which no caller reads.
-    return _normal_draw(stream.unit(), stream.unit(), 0.0, 1.0)
+    return FAMILIES["Normal"].sample(stream, 0.0, 1.0)
 
 
 def _poisson_inversion(stream: rng.RandomStream, rate: float) -> int:
@@ -644,6 +714,21 @@ def _bd0(x: float, m: float) -> float:
     near x = m and as a difference of logs far from it."""
     d = x - m
     return x * (math.log1p(d / m) if abs(d) < 0.5 * m else math.log(x) - math.log(m)) - d
+
+
+def _negbinomial_draw(stream: rng.RandomStream, params) -> int:
+    """NegativeBinomial draw: a Poisson draw at a gamma-distributed rate."""
+    (first, a), (_, b) = params
+    if first == "p":
+        r, scale = b, (1.0 - a) / a
+    else:
+        r, scale = a, 1.0 / b
+    lam = _gamma_draw(stream, r) * scale
+    if not lam < _INF:
+        raise ValueError(f"NegativeBinomial{dict(params)} draw overflows: rate {lam}")
+    if lam == 0.0:
+        return 0
+    return _poisson_draw(stream, lam)
 
 
 def _gamma_draw(stream: rng.RandomStream, shape: float) -> float:

@@ -169,18 +169,25 @@ def _rejoined(weight: Optional[float], base: MeasureExpr) -> MeasureExpr:
 
 class _FixedProduct(_Product):
     """Independent product of the fixed measures ``children``: checks, masses
-    and draws run factor by factor, left to right; factors that each declare
-    ``draw_units`` draw from one block of their streams' leading uniforms.
+    and draws run factor by factor, left to right; when every factor is of
+    one family that declares `catalog.Lanes`, the factors' standard draws
+    come a chunk of streams at a time and are placed at their parameters.
     A subclass declares ``children``, the message of its length error and
     `_base_of`.
     """
 
     #: The ShapeError message for a point that is no tuple of the right length.
     _length_error = "Product of {n} factors expects a {n}-tuple, got {x!r}"
+    _lanes = None  # the factors' family's `catalog.Lanes`, when they share one
 
     def __post_init__(self):
-        # Both flags are stored, not computed per read: a ForProduct may have
-        # thousands of factors.
+        # The flags and the lanes are stored, not computed per read: a
+        # ForProduct may have thousands of factors.
+        cls = type(self.children[0])
+        family = getattr(cls, "_family", None)
+        if family is not None and family.lanes is not None and all(
+                type(child) is cls for child in self.children):
+            object.__setattr__(self, "_lanes", family.lanes)
         static = True
         for child in self.children:
             if child.self_checking:
@@ -238,14 +245,16 @@ class _FixedProduct(_Product):
         return total
 
     def _sample_normalized(self, seed: int):
-        children = self.children
-        units = [child.draw_units for child in children]
-        if len(children) < rng.LANE_MIN or not min(units):
+        children, lanes = self.children, self._lanes
+        if lanes is None or len(children) < rng.LANE_MIN:
             return tuple(child._sample_normalized(rng.derive_key(seed, i))
                          for i, child in enumerate(children))
-        rows = (row for columns in rng.unit_chunks(seed, 0, max(units), len(children))
-                for row in zip(*columns))
-        return tuple(child._draw_from(row) for child, row in zip(children, rows))
+        # One iterator of the factors' parameters, read chunk after chunk.
+        params = map(children[0]._family.args, children)
+        draws = []
+        for zs in lanes.noise(seed, 0, len(children)):
+            draws.extend(lanes.placed(zs, params))
+        return tuple(draws)
 
 
 @dataclass(frozen=True)
@@ -548,7 +557,12 @@ class Bind(_Product):
 
     def _sample_normalized(self, seed: int):
         first = self.source._sample(rng.derive_key(seed, 0))
-        second = self.kernel(first)._sample(rng.derive_key(seed, 1))
+        law = getattr(self.kernel, "_law", None)
+        if law is None:
+            second = self.kernel(first)._sample(rng.derive_key(seed, 1))
+        else:  # a family kernel: its member's draw, with no member built
+            stream = rng.RandomStream(rng.derive_key(seed, 1))
+            second = law.family.sample(stream, *law.params(first))
         return (first, second)
 
 

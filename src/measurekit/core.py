@@ -335,11 +335,6 @@ class MeasureExpr:
         """Draws for coordinates 0..n-1, coordinate i from `derive_key(seed, i)`."""
         return [self._sample_normalized(rng.derive_key(seed, i)) for i in range(n)]
 
-    #: The number of leading uniforms of its stream a draw takes, for a node
-    #: that declares it and draws from them with `_draw_from(units)`; else 0.
-    #: A product of such nodes draws their uniforms many streams at once.
-    draw_units = 0
-
     def base_at(self, x) -> "MeasureExpr":
         """Base measure near x.  Primitives return themselves."""
         raise NotImplementedError

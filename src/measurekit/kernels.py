@@ -14,9 +14,10 @@ data term each run once over their column, and the base constant once when
 the parameters it reads are constant; a short prefix, and one where an
 element raises, is read by the per-element loop, which raises at that
 element.  An opaque kernel's element is the node it returns, checked and
-unfolded once.  A draw over a family kernel whose draws take a fixed number
-of uniforms builds no measure either: each step maps and checks the
-parameters and calls the family's draw.
+unfolded once.  A draw over a family kernel builds no measure either: each
+step maps and checks the parameters and draws from its stream with the
+family's ``sample``, or, for a family that declares `catalog.Lanes`, places
+a standard draw taken a chunk of streams at a time.
 """
 
 from __future__ import annotations
@@ -189,17 +190,17 @@ class ChainSample:
         state = spec.initial._sample(rng.derive_key(seed, 0))
         yield state
         law = spec.step._law
-        if law is not None and law.family.units:
-            # A family kernel whose draws take a fixed number of uniforms:
-            # each step maps and checks the parameters (``law``) and draws
-            # from its stream's leading uniforms, drawn many streams at
-            # once, with no measure built.
-            params, family = law.params, law.family
-            draw = family.draw
-            for columns in rng.unit_chunks(seed, 1, family.units):
-                for units in zip(*columns):
-                    state = draw(*units, *params(state))
-                    yield state
+        if law is not None and law.family.lanes is not None:
+            # Each step maps and checks the parameters (``law``) and places
+            # its stream's standard draw, drawn many streams at once.
+            params, lanes = law.params, law.family.lanes
+            for zs in lanes.noise(seed, 1):
+                state = yield from lanes.walk(zs, params, state)
+        elif law is not None:
+            params, sample = law.params, law.family.sample
+            for i in count(1):
+                state = sample(rng.RandomStream(rng.derive_key(seed, i)), *params(state))
+                yield state
         else:
             for i in count(1):
                 state = spec.step(state)._sample(rng.derive_key(seed, i))

@@ -4,23 +4,31 @@ The generator is a fixed 64-bit splitmix-style hash: draw ``i`` from a stream
 keyed by ``k`` is the finalizer applied to ``k + (i + 1) * GOLDEN`` modulo
 2**64.  Every draw is a pure function of (key, counter), so sequences are
 O(1)-seekable, identical across platforms and processes, and never share
-state.  Independent substreams are obtained with `derive_key`.
+state.  Independent substreams are obtained with `derive_key`.  A uniform
+is the top 53 bits of a draw, its *word* w, as the midpoint
+``(w + 0.5) * 2**-53``; the all-ones word, whose midpoint rounds to 1.0,
+gives ``1 - 2**-53`` instead.
 
-`unit_chunks` draws the leading uniforms of many substreams
+`word_chunks` draws the leading words of many substreams
 ``derive_key(key, i)`` at once, bit for bit those of the streams
 themselves.  The substreams are independent, so their counters are packed
 into one Python int, one 128-bit slot per stream, and each step of
 `derive_key` and of the finalizer is one big-int operation over all the
 slots: every slot holds a value below 2**64 before a multiply, so a
-product never reaches the next slot.  Streams go in chunks of at most
-`LANES`, so a call holds O(`LANES`) integers however many streams it
-draws; below `LANE_MIN` streams the per-stream loop is the faster.
+product never reaches the next slot.  The key-independent half of
+`derive_key`, ``mix64(i)`` over a chunk's indexes, is kept for the last
+`INDEX_CACHE` chunk starts, at full width, and a shorter chunk takes its
+leading slots.  A column of words is read off the packed int in C
+(`memoryview.tolist`), and a family turns it into draws in one
+comprehension (`catalog.Lanes`).  Streams go in chunks of at most `LANES`,
+so a call holds O(`LANES`) integers however many streams it draws; below
+`LANE_MIN` streams the per-stream loop is the faster.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 MASK64 = (1 << 64) - 1
 
@@ -34,13 +42,21 @@ _MIX2 = 0x94D049BB133111EB
 LANES = 512
 #: Fewest streams drawn at once; fewer go through the per-stream loop.
 LANE_MIN = 3
+#: Chunk starts whose index lanes are kept, at most: about 8 KB each.
+INDEX_CACHE = 32
+
+#: The all-ones word, and the uniform it gives (the largest float below 1).
+TOP = (1 << 53) - 1
+TOP_UNIT = 1.0 - 2.0 ** -53
 
 _SLOT = 16  # bytes per lane: a 64-bit value times a 64-bit constant fits
 _ONES = int.from_bytes((1).to_bytes(_SLOT, "little") * LANES, "little")  # 1 in each slot
 _MASKS = _ONES * MASK64
 _GOLDENS = _ONES * GOLDEN
+_TOPS = _ONES << 53  # the bit an all-ones word carries into when 1 is added
 _RAMP = int.from_bytes(b"".join(i.to_bytes(_SLOT, "little") for i in range(LANES)),
                        "little")  # i in slot i
+_index_lanes = {}  # chunk start -> `_mix_lanes` of its LANES indexes, oldest first
 
 
 def mix64(z: int) -> int:
@@ -67,33 +83,68 @@ def _mix_lanes(z: int, mask: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-def _columns(key: int, start: int, n: int, k: int) -> List[list]:
-    """k lists: list c holds ``unit()`` draw c + 1 of the streams keyed by
-    ``derive_key(key, i)`` for start <= i < start + n, n <= LANES."""
+def _indexes(start: int) -> int:
+    """``mix64(i & MASK64)`` in slot i - start, for the `LANES` indexes from
+    start on: kept for the last `INDEX_CACHE` starts."""
+    start &= MASK64
+    z = _index_lanes.get(start)
+    if z is None:
+        if len(_index_lanes) >= INDEX_CACHE:
+            _index_lanes.pop(next(iter(_index_lanes)), None)
+        z = _index_lanes[start] = _mix_lanes((_RAMP + start * _ONES) & _MASKS, _MASKS)
+    return z
+
+
+def _unit_column(words: list) -> list:
+    """The uniforms of a column of words (`RandomStream.unit`)."""
+    return [(w + 0.5) * 2.0 ** -53 if w != TOP else TOP_UNIT for w in words]
+
+
+def _columns(key: int, start: int, n: int, k: int) -> Tuple[List[list], bool]:
+    """k lists: list c holds the word of draw c + 1 of the streams keyed by
+    ``derive_key(key, i)`` for start <= i < start + n, n <= LANES, and True;
+    or, when a word is `TOP`, the draws' uniforms and False."""
     if n < LANE_MIN:  # one stream at a time
         keys = [derive_key(key, i) for i in range(start, start + n)]
-        return [[((mix64(s + c * GOLDEN) >> 11) + 0.5) * 2.0 ** -53 for s in keys]
-                for c in range(1, k + 1)]
-    slots = (1 << (8 * _SLOT * n)) - 1
-    ones, mask, goldens = _ONES & slots, _MASKS & slots, _GOLDENS & slots
-    z = _mix_lanes(((_RAMP & slots) + (start & MASK64) * ones) & mask, mask)  # mix64(i & MASK64)
-    z = _mix_lanes((((key & MASK64) * ones ^ z) + goldens) & mask, mask)  # derive_key(key, i)
-    columns = []
-    for _ in range(k):
-        z = (z + goldens) & mask  # the stream's next counter
-        v = _mix_lanes(z, mask) >> 11 & mask
-        # The slots' low words, as native 64-bit words: every other word from
-        # the first (little-endian), or from the last backwards (big-endian).
-        words = memoryview(v.to_bytes(_SLOT * n, sys.byteorder)).cast("Q")
-        lanes = words[::2] if sys.byteorder == "little" else words[::-2]
-        columns.append([(x + 0.5) * 2.0 ** -53 for x in lanes])  # `RandomStream.unit`
-    return columns
+        columns = [[mix64(s + c * GOLDEN) >> 11 for s in keys] for c in range(1, k + 1)]
+        clean = not any(TOP in column for column in columns)
+    else:
+        ones, mask, goldens = _ONES, _MASKS, _GOLDENS
+        if n < LANES:  # the leading n slots; the mask drops the index lanes past them
+            slots = (1 << (8 * _SLOT * n)) - 1
+            ones, mask, goldens = ones & slots, mask & slots, goldens & slots
+        z = _mix_lanes((((key & MASK64) * ones ^ _indexes(start)) + goldens) & mask,
+                       mask)  # derive_key(key, i)
+        top = 0
+        values = []
+        for _ in range(k):
+            z = (z + goldens) & mask  # the stream's next counter
+            v = _mix_lanes(z, mask) >> 11 & mask
+            top |= v + ones  # a slot reaches 2**53 only from TOP
+            values.append(v)
+        # Two columns at a time, in the low and the high halves of the slots,
+        # read as native 64-bit words: slot i's halves are words 2i and
+        # 2i + 1 (little-endian), or 2n - 1 - 2i and 2n - 2 - 2i (big-endian).
+        little = sys.byteorder == "little"
+        columns = []
+        for c in range(0, k, 2):
+            high = values[c + 1] << 64 if c + 1 < k else 0
+            words = memoryview((values[c] | high).to_bytes(_SLOT * n, sys.byteorder)).cast("Q")
+            columns.append((words[::2] if little else words[::-2]).tolist())
+            if c + 1 < k:
+                columns.append((words[1::2] if little else words[-2::-2]).tolist())
+        clean = not top & _TOPS
+    return (columns, True) if clean else ([_unit_column(c) for c in columns], False)
 
 
-def unit_chunks(key: int, start: int, k: int, n: Optional[int] = None) -> Iterator[List[list]]:
-    """The first k ``unit()`` draws of the streams keyed by
+def word_chunks(key: int, start: int, k: int,
+                n: Optional[int] = None) -> Iterator[Tuple[List[list], bool]]:
+    """The words of the first k draws of the streams keyed by
     ``derive_key(key, i)`` for i = start, start + 1, ..., a chunk at a time:
-    each chunk is k lists, list c holding draw c + 1 of each of its streams.
+    each chunk is k lists, list c holding the word of draw c + 1 of each of
+    its streams, and True.  A chunk that holds the all-ones word `TOP`
+    (chance about 2**-44 per column of a full chunk) comes as uniforms
+    (`RandomStream.unit`), and False.
 
     n streams in chunks of `LANES`; without n, streams without end, in
     chunks that double from 1 up to `LANES`, so a short prefix stays cheap.
@@ -107,6 +158,13 @@ def unit_chunks(key: int, start: int, k: int, n: Optional[int] = None) -> Iterat
         yield _columns(key, start, size, k)
         start += size
         size = min(2 * size, LANES)
+
+
+def unit_chunks(key: int, start: int, k: int, n: Optional[int] = None) -> Iterator[List[list]]:
+    """`word_chunks` as uniforms: list c of a chunk holds ``unit()`` draw
+    c + 1 of each of its streams."""
+    for columns, clean in word_chunks(key, start, k, n):
+        yield [_unit_column(c) for c in columns] if clean else columns
 
 
 def unit_block(key: int, n: int, k: int):
@@ -137,9 +195,12 @@ class RandomStream:
         return value
 
     def unit(self) -> float:
-        """Uniform draw in the open interval (0, 1).
+        """Uniform draw in the open interval (0, 1), safe under log.
 
-        Uses the top 53 bits shifted into (0, 1) so the result is never
-        exactly 0 or 1 (safe under log).
+        The top 53 bits w of the next draw give the midpoint
+        ``(w + 0.5) * 2**-53``, which is never 0; the all-ones w, whose
+        midpoint rounds to 1.0, gives the largest float below 1.
         """
-        return ((self.next_u64() >> 11) + 0.5) * 2.0 ** -53
+        self.counter += 1  # `next_u64`, inlined
+        word = mix64(self.key + self.counter * GOLDEN) >> 11
+        return (word + 0.5) * 2.0 ** -53 if word != TOP else TOP_UNIT

@@ -73,6 +73,150 @@ class TestLaneUniforms:
         start = 2**64 - 2
         assert _lane_units(5, start, LANE_MIN + 2, 2) == _stream_units(5, start, LANE_MIN + 2, 2)
 
+    @pytest.mark.parametrize("start", [2**64 - 2, 2**64 - LANES + 1, 2**65 - 7, -3])
+    def test_full_chunks_wrap_as_derive_key_does(self, start):
+        rng._index_lanes.clear()
+        for _ in range(2):  # the index lanes cold, then kept
+            assert _lane_units(5, start, LANES + 3, 1) == _stream_units(5, start, LANES + 3, 1)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_equal_the_substreams_with_the_index_lanes_cold_and_kept(self, key):
+        for start in (0, 1, LANES, 5 * LANES + 9):
+            rng._index_lanes.clear()
+            cold = _lane_units(key, start, 2 * LANES + 1, 2)
+            assert start & rng.MASK64 in rng._index_lanes
+            assert _lane_units(key, start, 2 * LANES + 1, 2) == cold == \
+                _stream_units(key, start, 2 * LANES + 1, 2)
+
+    @pytest.mark.parametrize("n", [LANE_MIN, 4, LANES // 2, LANES - 1])
+    def test_a_short_chunk_takes_the_leading_slots_of_a_full_one(self, n):
+        for start in (0, 77):
+            rng._index_lanes.clear()
+            full = _lane_units(3, start, LANES, 2)
+            assert _lane_units(3, start, n, 2) == [c[:n] for c in full] == _stream_units(3, start, n, 2)
+            rng._index_lanes.clear()  # and a short chunk first, then a full one
+            assert _lane_units(3, start, n, 2) == _stream_units(3, start, n, 2)
+            assert _lane_units(3, start, LANES, 2) == full
+
+    def test_chain_chunk_starts_off_the_chunk_grid(self):
+        # An open-ended run starts its chunks at 1, 2, 4, ..., 256, then 512.
+        rng._index_lanes.clear()
+        size = 1
+        while size <= LANES // 2:
+            assert _lane_units(11, size, size, 2) == _stream_units(11, size, size, 2), size
+            size *= 2
+
+    def test_the_index_lanes_stay_within_their_bound(self):
+        rng._index_lanes.clear()
+        n = (rng.INDEX_CACHE + 3) * LANES
+        assert _lane_units(9, 0, n, 1) == _stream_units(9, 0, n, 1)
+        assert len(rng._index_lanes) == rng.INDEX_CACHE
+        # The latest starts are the ones kept.
+        assert (n - LANES) in rng._index_lanes and 0 not in rng._index_lanes
+
+
+# ---------------------------------------------------------------------------
+# Each form of a family's draw
+# ---------------------------------------------------------------------------
+
+# The draws from a stream's leading uniforms, written out.
+DRAWS = {
+    "Normal": lambda u1, u2, mu, sigma: mu + sigma * (math.sqrt(-2.0 * math.log(u1))
+                                                       * math.cos(2.0 * math.pi * u2)),
+    "Exponential": lambda u, rate: -math.log(u) / rate,
+    "Bernoulli": lambda u, p: 1 if u < p else 0,
+    "Uniform01": lambda u: u,
+}
+EXTREMES = [mk.Normal(0.3, 1e-300), mk.Normal(-0.0, 1e300), mk.Normal(-1e300, 1.7),
+            mk.Exponential(1e-300), mk.Exponential(1e300), mk.Bernoulli(0.0), mk.Bernoulli(1.0),
+            mk.Bernoulli(0.3), mk.Uniform01()]
+
+
+@pytest.mark.parametrize("leaf", EXTREMES, ids=repr)
+def test_every_form_of_a_lane_draw_gives_the_written_draw(leaf):
+    family = leaf._family
+    lanes, args, draw = family.lanes, family.args(leaf), DRAWS[type(leaf).__name__]
+    n = LANES + LANE_MIN
+    for seed in (0, 2**64 + 3):
+        units = _stream_units(seed, 0, n, lanes.units)
+        want = _bits([draw(*u, *args) for u in zip(*units)])
+        assert _bits(leaf._sample_normalized(derive_key(seed, i)) for i in range(n)) == want
+        assert _bits(lanes.block(seed, n, args)) == want
+        placed, walked = [], []
+        for zs in lanes.noise(seed, 0, n):
+            placed.extend(lanes.placed(zs, itertools.repeat(args)))
+            walked.extend(lanes.walk(zs, lambda state: args, None))
+        assert _bits(placed) == _bits(walked) == want
+        # A chunk that holds the all-ones word takes uniforms.
+        assert _bits(lanes.placed(lanes._unit_noise(*units), itertools.repeat(args))) == want
+
+
+# ---------------------------------------------------------------------------
+# The all-ones word
+# ---------------------------------------------------------------------------
+
+
+def _inverse_xorshift(z, shift):
+    out = z
+    for _ in range(64 // shift + 1):
+        out = z ^ (out >> shift)
+    return out & rng.MASK64
+
+
+def _inverse_mix64(z):
+    z = _inverse_xorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & rng.MASK64
+    z = _inverse_xorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & rng.MASK64
+    return _inverse_xorshift(z, 30)
+
+
+# The key whose first draw has all 53 top bits set, and a seed whose
+# substream 5 has that key.
+TOP_KEY = (_inverse_mix64(rng.TOP << 11) - rng.GOLDEN) & rng.MASK64
+TOP_SEED = ((_inverse_mix64(TOP_KEY) - rng.GOLDEN) & rng.MASK64) ^ rng.mix64(5)
+TOP_UNIT = 1.0 - 2.0**-53
+
+
+class TestAllOnesWord:
+    def test_the_seeds_reach_the_word(self):
+        for z in (0, 1, 2**63 + 5, rng.MASK64):
+            assert _inverse_mix64(rng.mix64(z)) == z
+        assert RandomStream(TOP_KEY).next_u64() >> 11 == rng.TOP
+        assert derive_key(TOP_SEED, 5) == TOP_KEY
+
+    def test_a_stream_gives_the_largest_float_below_one(self):
+        stream = RandomStream(TOP_KEY)
+        assert stream.unit() == TOP_UNIT < 1.0
+        assert 0.0 < stream.unit() < 1.0
+        assert mk.sample(mk.Exponential(1.0), TOP_KEY) == -math.log(TOP_UNIT) > 0.0
+        assert mk.sample(mk.Bernoulli(1.0), TOP_KEY) == 1
+        assert mk.sample(mk.Uniform01(), TOP_KEY) == TOP_UNIT
+        assert mk.sample(mk.Normal(), TOP_KEY) != 0.0
+
+    @pytest.mark.parametrize("start,n", [(0, 8), (0, LANES), (4, 4), (4, LANE_MIN - 1), (5, 1)])
+    def test_lane_5_gives_the_largest_float_below_one(self, start, n):
+        for k in (1, 2):
+            lanes = _lane_units(TOP_SEED, start, n, k)
+            assert lanes == _stream_units(TOP_SEED, start, n, k)
+            assert lanes[0][5 - start] == TOP_UNIT
+
+    @pytest.mark.parametrize("leaf", [mk.Normal(-0.0, 2.0), mk.Exponential(1.0), mk.Bernoulli(1.0),
+                                      mk.Uniform01()])
+    def test_blocks_and_products_draw_it_as_each_stream(self, leaf):
+        for n in (8, LANES + 2):
+            block = mk.sample(mk.power(leaf, (n,)), TOP_SEED)
+            assert _bits(block) == _bits(_reference(mk.power(leaf, (n,)), TOP_SEED))
+            assert block[5] == mk.sample(leaf, TOP_KEY)
+            factors = mk.Product((leaf,) * n)
+            assert _bits(mk.sample(factors, TOP_SEED)) == _bits(block)
+
+    def test_a_chain_draws_it_as_each_step(self):
+        for name in ("Normal", "Exponential", "Uniform01", "Bernoulli"):
+            walk = mk.chain(KERNELS[name], INITIAL[name])
+            got = tuple(itertools.islice(mk.sample_chain(walk, TOP_SEED), 40))
+            assert _bits(got) == _bits(itertools.islice(_per_step(walk, TOP_SEED), 40)), name
+
 
 # ---------------------------------------------------------------------------
 # Chains
@@ -83,10 +227,13 @@ KERNELS = {
     "Exponential": kernels.make_kernel("Exponential", rate="affine:0.1:0.5"),
     "Uniform01": kernels.make_kernel("Uniform01"),
     "Bernoulli": kernels.make_kernel("Bernoulli", p="affine:0.5:0.2"),
+    "Poisson": kernels.make_kernel("Poisson", rate="affine:0.5:1.0"),
+    "NegativeBinomial": kernels.make_kernel("NegativeBinomial", r="affine:0.1:1.0", p="const:0.4"),
     "opaque": mk.Kernel(fn=lambda x: mk.Normal(0.5 * x, 1.0)),
 }
 INITIAL = {"Normal": mk.Normal(0.0, 1.0), "Exponential": mk.Exponential(1.0),
-           "Uniform01": mk.Uniform01(), "Bernoulli": mk.Bernoulli(0.5), "opaque": mk.Normal()}
+           "Uniform01": mk.Uniform01(), "Bernoulli": mk.Bernoulli(0.5), "Poisson": mk.Poisson(2.0),
+           "NegativeBinomial": mk.Poisson(2.0), "opaque": mk.Normal()}
 
 
 def _per_step(walk, seed):
@@ -97,6 +244,10 @@ def _per_step(walk, seed):
     for i in itertools.count(1):
         state = walk.step(state)._sample(derive_key(seed, i))
         yield state
+
+
+def _lazily(f, *args):
+    yield f(*args)
 
 
 def _outcome(elements, n):
@@ -145,6 +296,21 @@ class TestChainDraws:
                 got = _outcome(mk.sample_chain(walk, seed), 50)
                 assert got == _outcome(_per_step(walk, seed), 50)
                 assert got[1] is ValueError and got[2].startswith("Bernoulli requires 0 <= p <= 1, got ")
+
+    def test_count_parameters_leaving_their_range(self):
+        for spec, want in ((("Poisson", {"rate": "affine:-1.0:2.5"}), "Poisson requires finite rate > 0"),
+                           (("NegativeBinomial", {"r": "const:2.0", "p": "affine:0.3:0.1"}),
+                            "NegativeBinomial requires 0 < p < 1")):
+            step = kernels.make_kernel(spec[0], **spec[1])
+            walk = mk.chain(step, mk.Poisson(2.0))
+            for seed in range(6):
+                got = _outcome(mk.sample_chain(walk, seed), 50)
+                assert got == _outcome(_per_step(walk, seed), 50)
+                assert got[1] is ValueError and got[2].startswith(want)
+            pair = mk.bind(mk.Poisson(3.0), step)
+            for seed in range(20):
+                assert _outcome(_lazily(mk.sample, pair, seed), 1) == \
+                    _outcome(_lazily(_reference, pair, seed), 1)
 
     def test_a_map_that_raises(self):
         walk = mk.chain(kernels.make_kernel("Normal", mu="identity", sigma="sqrt"), mk.Normal())
