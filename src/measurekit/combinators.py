@@ -19,6 +19,7 @@ as `Power` and the fixed products do, so a kernel runs once per element.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
@@ -170,24 +171,33 @@ def _rejoined(weight: Optional[float], base: MeasureExpr) -> MeasureExpr:
 class _FixedProduct(_Product):
     """Independent product of the fixed measures ``children``: checks, masses
     and draws run factor by factor, left to right; when every factor is of
-    one family that declares `catalog.Lanes`, the factors' standard draws
-    come a chunk of streams at a time and are placed at their parameters.
+    a family that declares `catalog.Lanes`, each family's standard draws
+    come a chunk of streams at a time and its factors' are placed at their
+    parameters.
     A subclass declares ``children``, the message of its length error and
     `_base_of`.
     """
 
     #: The ShapeError message for a point that is no tuple of the right length.
     _length_error = "Product of {n} factors expects a {n}-tuple, got {x!r}"
-    _lanes = None  # the factors' family's `catalog.Lanes`, when they share one
+    #: When every factor's family declares `catalog.Lanes`, one entry per
+    #: family: (its `catalog.Lanes`, its ``args``, the indexes of its
+    #: factors, its factors), in order of first appearance.
+    _groups = None
 
     def __post_init__(self):
-        # The flags and the lanes are stored, not computed per read: a
+        # The flags and the groups are stored, not computed per read: a
         # ForProduct may have thousands of factors.
-        cls = type(self.children[0])
-        family = getattr(cls, "_family", None)
-        if family is not None and family.lanes is not None and all(
-                type(child) is cls for child in self.children):
-            object.__setattr__(self, "_lanes", family.lanes)
+        groups = {}
+        for i, child in enumerate(self.children):
+            family = getattr(type(child), "_family", None)
+            if family is None or family.lanes is None:
+                break
+            group = groups.setdefault(type(child), (family.lanes, family.args, [], []))
+            group[2].append(i)
+            group[3].append(child)
+        else:
+            object.__setattr__(self, "_groups", tuple(groups.values()))
         static = True
         for child in self.children:
             if child.self_checking:
@@ -245,15 +255,31 @@ class _FixedProduct(_Product):
         return total
 
     def _sample_normalized(self, seed: int):
-        children, lanes = self.children, self._lanes
-        if lanes is None or len(children) < rng.LANE_MIN:
+        children, groups = self.children, self._groups
+        n = len(children)
+        if groups is None or n < rng.LANE_MIN:
             return tuple(child._sample_normalized(rng.derive_key(seed, i))
                          for i, child in enumerate(children))
-        # One iterator of the factors' parameters, read chunk after chunk.
-        params = map(children[0]._family.args, children)
-        draws = []
-        for zs in lanes.noise(seed, 0, len(children)):
-            draws.extend(lanes.placed(zs, params))
+        # A chunk of words at a time, as many as the widest family takes; each
+        # family places the standard draws of its own factors' streams.
+        units = max(group[0].units for group in groups)
+        draws = [None] * n
+        lo = 0
+        for columns, words in rng.word_chunks(seed, 0, units, n):
+            hi = lo + len(columns[0])
+            for lanes, args, indexes, factors in groups:
+                a, b = bisect_left(indexes, lo), bisect_left(indexes, hi)
+                columns_of = columns[:lanes.units]
+                whole = b - a == hi - lo  # the chunk holds no other family's factor
+                if not whole:
+                    columns_of = [[c[i - lo] for i in indexes[a:b]] for c in columns_of]
+                placed = lanes.placed(lanes.standard(columns_of, words), map(args, factors[a:b]))
+                if whole:
+                    draws[lo:hi] = placed
+                else:
+                    for i, x in zip(indexes[a:b], placed):
+                        draws[i] = x
+            lo = hi
         return tuple(draws)
 
 

@@ -4,8 +4,9 @@ The generator is a fixed 64-bit splitmix-style hash: draw ``i`` from a stream
 keyed by ``k`` is the finalizer applied to ``k + (i + 1) * GOLDEN`` modulo
 2**64.  Every draw is a pure function of (key, counter), so sequences are
 O(1)-seekable, identical across platforms and processes, and never share
-state.  Independent substreams are obtained with `derive_key`.  A uniform
-is the top 53 bits of a draw, its *word* w, as the midpoint
+state (the one thing kept, a memo of `_indexes`, is a pure function of
+its arguments).  Independent substreams are obtained with `derive_key`.  A
+uniform is the top 53 bits of a draw, its *word* w, as the midpoint
 ``(w + 0.5) * 2**-53``; the all-ones word, whose midpoint rounds to 1.0,
 gives ``1 - 2**-53`` instead.
 
@@ -16,17 +17,21 @@ into one Python int, one 128-bit slot per stream, and each step of
 `derive_key` and of the finalizer is one big-int operation over all the
 slots: every slot holds a value below 2**64 before a multiply, so a
 product never reaches the next slot.  The key-independent half of
-`derive_key`, ``mix64(i)`` over a chunk's indexes, is kept for the last
-`INDEX_CACHE` chunk starts, at full width, and a shorter chunk takes its
-leading slots.  A column of words is read off the packed int in C
-(`memoryview.tolist`), and a family turns it into draws in one
-comprehension (`catalog.Lanes`).  Streams go in chunks of at most `LANES`,
-so a call holds O(`LANES`) integers however many streams it draws; below
-`LANE_MIN` streams the per-stream loop is the faster.
+`derive_key`, ``mix64(i)`` over a chunk's indexes, is kept for the
+`INDEX_CACHE` chunks last drawn, by start and width.  It saves one of the
+four big-int mixes of a Normal chunk when the same chunks come back, as
+when a process draws blocks of at most ``INDEX_CACHE * LANES`` streams,
+or short chain prefixes, again and again; a chunk not kept mixes its own
+index lanes, as it would with no memo.  A column of words is read off the
+packed int in C (`memoryview.tolist`), and a family turns it into draws in
+one comprehension (`catalog.Lanes`).  Streams go in chunks of at most
+`LANES`, so a call holds O(`LANES`) integers however many streams it
+draws; below `LANE_MIN` streams the per-stream loop is the faster.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Iterator, List, Optional, Tuple
 
@@ -42,7 +47,7 @@ _MIX2 = 0x94D049BB133111EB
 LANES = 512
 #: Fewest streams drawn at once; fewer go through the per-stream loop.
 LANE_MIN = 3
-#: Chunk starts whose index lanes are kept, at most: about 8 KB each.
+#: Chunks whose index lanes are kept, at most: at most 8 KB each.
 INDEX_CACHE = 32
 
 #: The all-ones word, and the uniform it gives (the largest float below 1).
@@ -56,7 +61,6 @@ _GOLDENS = _ONES * GOLDEN
 _TOPS = _ONES << 53  # the bit an all-ones word carries into when 1 is added
 _RAMP = int.from_bytes(b"".join(i.to_bytes(_SLOT, "little") for i in range(LANES)),
                        "little")  # i in slot i
-_index_lanes = {}  # chunk start -> `_mix_lanes` of its LANES indexes, oldest first
 
 
 def mix64(z: int) -> int:
@@ -83,16 +87,13 @@ def _mix_lanes(z: int, mask: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-def _indexes(start: int) -> int:
-    """``mix64(i & MASK64)`` in slot i - start, for the `LANES` indexes from
-    start on: kept for the last `INDEX_CACHE` starts."""
-    start &= MASK64
-    z = _index_lanes.get(start)
-    if z is None:
-        if len(_index_lanes) >= INDEX_CACHE:
-            _index_lanes.pop(next(iter(_index_lanes)), None)
-        z = _index_lanes[start] = _mix_lanes((_RAMP + start * _ONES) & _MASKS, _MASKS)
-    return z
+@functools.lru_cache(maxsize=INDEX_CACHE)
+def _indexes(start: int, n: int) -> int:
+    """``mix64(i & MASK64)`` in slot i - start, for the n indexes from start
+    on, n <= LANES."""
+    slots = (1 << (8 * _SLOT * n)) - 1
+    mask = _MASKS & slots
+    return _mix_lanes(((_RAMP & slots) + (start & MASK64) * (_ONES & slots)) & mask, mask)
 
 
 def _unit_column(words: list) -> list:
@@ -110,10 +111,10 @@ def _columns(key: int, start: int, n: int, k: int) -> Tuple[List[list], bool]:
         clean = not any(TOP in column for column in columns)
     else:
         ones, mask, goldens = _ONES, _MASKS, _GOLDENS
-        if n < LANES:  # the leading n slots; the mask drops the index lanes past them
+        if n < LANES:  # the leading n slots
             slots = (1 << (8 * _SLOT * n)) - 1
             ones, mask, goldens = ones & slots, mask & slots, goldens & slots
-        z = _mix_lanes((((key & MASK64) * ones ^ _indexes(start)) + goldens) & mask,
+        z = _mix_lanes((((key & MASK64) * ones ^ _indexes(start, n)) + goldens) & mask,
                        mask)  # derive_key(key, i)
         top = 0
         values = []

@@ -75,44 +75,52 @@ class TestLaneUniforms:
 
     @pytest.mark.parametrize("start", [2**64 - 2, 2**64 - LANES + 1, 2**65 - 7, -3])
     def test_full_chunks_wrap_as_derive_key_does(self, start):
-        rng._index_lanes.clear()
+        rng._indexes.cache_clear()
         for _ in range(2):  # the index lanes cold, then kept
             assert _lane_units(5, start, LANES + 3, 1) == _stream_units(5, start, LANES + 3, 1)
 
     @pytest.mark.parametrize("key", KEYS)
     def test_equal_the_substreams_with_the_index_lanes_cold_and_kept(self, key):
         for start in (0, 1, LANES, 5 * LANES + 9):
-            rng._index_lanes.clear()
+            rng._indexes.cache_clear()
             cold = _lane_units(key, start, 2 * LANES + 1, 2)
-            assert start & rng.MASK64 in rng._index_lanes
+            assert rng._indexes.cache_info().hits == 0
             assert _lane_units(key, start, 2 * LANES + 1, 2) == cold == \
                 _stream_units(key, start, 2 * LANES + 1, 2)
+            assert rng._indexes.cache_info().hits == 2  # the two full chunks
 
     @pytest.mark.parametrize("n", [LANE_MIN, 4, LANES // 2, LANES - 1])
-    def test_a_short_chunk_takes_the_leading_slots_of_a_full_one(self, n):
+    def test_a_short_chunk_and_a_full_one_keep_their_own_index_lanes(self, n):
         for start in (0, 77):
-            rng._index_lanes.clear()
+            rng._indexes.cache_clear()
             full = _lane_units(3, start, LANES, 2)
-            assert _lane_units(3, start, n, 2) == [c[:n] for c in full] == _stream_units(3, start, n, 2)
-            rng._index_lanes.clear()  # and a short chunk first, then a full one
-            assert _lane_units(3, start, n, 2) == _stream_units(3, start, n, 2)
+            for _ in range(2):  # the short chunk's lanes cold, then kept
+                assert _lane_units(3, start, n, 2) == [c[:n] for c in full] == \
+                    _stream_units(3, start, n, 2)
             assert _lane_units(3, start, LANES, 2) == full
+            info = rng._indexes.cache_info()
+            assert (info.currsize, info.hits) == (2, 2)
 
     def test_chain_chunk_starts_off_the_chunk_grid(self):
         # An open-ended run starts its chunks at 1, 2, 4, ..., 256, then 512.
-        rng._index_lanes.clear()
-        size = 1
-        while size <= LANES // 2:
-            assert _lane_units(11, size, size, 2) == _stream_units(11, size, size, 2), size
-            size *= 2
+        rng._indexes.cache_clear()
+        for _ in range(2):
+            size = 1
+            while size <= LANES // 2:
+                assert _lane_units(11, size, size, 2) == _stream_units(11, size, size, 2), size
+                size *= 2
 
     def test_the_index_lanes_stay_within_their_bound(self):
-        rng._index_lanes.clear()
+        rng._indexes.cache_clear()
         n = (rng.INDEX_CACHE + 3) * LANES
         assert _lane_units(9, 0, n, 1) == _stream_units(9, 0, n, 1)
-        assert len(rng._index_lanes) == rng.INDEX_CACHE
-        # The latest starts are the ones kept.
-        assert (n - LANES) in rng._index_lanes and 0 not in rng._index_lanes
+        info = rng._indexes.cache_info()
+        assert (info.currsize, info.maxsize) == (rng.INDEX_CACHE, rng.INDEX_CACHE)
+        # The latest chunks are the ones kept.
+        assert _lane_units(9, n - LANES, LANES, 1) == _stream_units(9, n - LANES, LANES, 1)
+        assert rng._indexes.cache_info().hits == info.hits + 1
+        assert _lane_units(9, 0, LANES, 1) == _stream_units(9, 0, LANES, 1)
+        assert rng._indexes.cache_info().misses == info.misses + 1
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +389,23 @@ LEAVES = [
 ]
 # Sizes on both sides of the lane crossover and of the chunk size.
 SIZES = (1, LANE_MIN - 1, LANE_MIN, LANES - 1, LANES + 1)
+
+MIXED = (mk.Normal(0.3, 1.7), mk.Exponential(0.7), mk.Bernoulli(0.3), mk.Uniform01())
+# Which of MIXED factor i of a product is.
+PATTERNS = {
+    "alternating": lambda i: i % 2,
+    "cycling": lambda i: i % 4,
+    "runs across chunks": lambda i: i // 300 % 2,
+    "one odd factor": lambda i: 1 if i == 5 else 0,
+}
+
+
+@pytest.mark.parametrize("n", [LANE_MIN, 8, LANES, 2 * LANES + 7])
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_a_product_of_several_families_draws_each_factor_from_its_stream(pattern, n):
+    product = mk.Product(tuple(MIXED[PATTERNS[pattern](i)] for i in range(n)))
+    for seed in (0, TOP_SEED, 2**64 + 3):  # TOP_SEED: a chunk of uniforms
+        assert _bits(mk.sample(product, seed)) == _bits(_reference(product, seed)), seed
 
 leaves = st.sampled_from(range(len(LEAVES))).map(lambda i: LEAVES[i]())
 family_kernels = st.sampled_from(sorted(KERNELS)).map(lambda name: (KERNELS[name], INITIAL[name]))
