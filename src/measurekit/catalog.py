@@ -6,26 +6,27 @@ normalization) are pushed to a Weighted base measure.  Outside the support the
 data term is -inf, never an error.
 
 `FAMILIES` declares, once per family, the accepted parameter name sets, how
-document names map to fields, and the family's parameter check, data term,
-base weight and root as functions of its parameters, and its draw from a
-stream; a family whose draw takes a fixed number of uniforms declares it
-once, as a standard draw and its placement at the parameters (`Lanes`).
-Construction, kernels, the document format and the family's classes all
-read it.  Construction dispatches on the names given and never
-converts between parameterizations.
+document names map to fields, the family's checks, data term and base
+weight as source in the names of its parameters, the root its base ends at,
+and its draw from a stream (`Lanes` for a draw from a fixed number of
+uniforms).  `Family` compiles each declaration into the methods of the
+family's class and the functions a kernel over it calls.  Construction,
+kernels, the document format and the family's classes all read it.
+Construction dispatches on the names given and never converts between
+parameterizations.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 import re
 from dataclasses import dataclass, fields
 from itertools import repeat
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import rng
-from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _add_up, _as_float, _is_scalar
+from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _as_float, _is_scalar
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -49,91 +50,15 @@ def log_binomial(n: float, k: float) -> float:
 # Families
 # ---------------------------------------------------------------------------
 #
-# Each family's facts are written once, as functions of its parameters:
-# ``_<family>_checked`` converts them to floats and rejects a value out of
-# range, ``_<family>_data`` is the data term at a point,
-# ``_<family>_weight`` the log constant its base carries, and, for a family
-# whose draw is no fixed function of a few uniforms, ``_<family>_draw`` a
-# draw from a stream.  The classes below and a kernel's element loops
-# (`kernels.Kernel`) both call them, except that `Normal` inlines its data term and the in-range case of
-# its check, which mixtures reach once per component.
-
-
-def _normal_checked(mu, sigma) -> tuple:
-    if type(mu) is not float:
-        mu = _as_float(mu)
-    if type(sigma) is not float:
-        sigma = _as_float(sigma)
-    if not -_INF < mu < _INF:
-        raise ValueError(f"Normal requires finite mu, got {mu}")
-    if not 0.0 < sigma < _INF:
-        raise ValueError(f"Normal requires finite sigma > 0, got {sigma}")
-    return mu, sigma
-
-
-def _normal_data(x, mu, sigma) -> float:
-    try:
-        z = (x - mu) / sigma
-    except OverflowError:  # an int beyond the float range rounds to +-inf
-        return -math.inf
-    return -0.5 * z * z
-
-
-def _normal_weight(mu, sigma) -> float:
-    return -math.log(sigma) - _HALF_LOG_TWO_PI
-
-
-def _uniform01_data(x) -> float:
-    return 0.0 if 0.0 <= x <= 1.0 else -math.inf
-
-
-def _positive_rate(family: str):
-    def checked(rate) -> tuple:
-        rate = _as_float(rate)
-        if not 0.0 < rate < _INF:
-            raise ValueError(f"{family} requires finite rate > 0, got {rate}")
-        return (rate,)
-
-    return checked
-
-
-_exponential_checked = _positive_rate("Exponential")
-_poisson_checked = _positive_rate("Poisson")
-
-
-def _exponential_data(x, rate) -> float:
-    try:
-        return -rate * x if x >= 0.0 else -math.inf
-    except OverflowError:  # an int beyond the float range rounds to inf
-        return -math.inf
-
-
-def _bernoulli_checked(p) -> tuple:
-    p = _as_float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"Bernoulli requires 0 <= p <= 1, got {p}")
-    return (p,)
-
-
-def _bernoulli_data(x, p) -> float:
-    if x == 1:
-        return math.log(p) if p > 0.0 else -math.inf
-    if x == 0:
-        return math.log1p(-p) if p < 1.0 else -math.inf
-    return -math.inf
-
-
-def _poisson_data(x, rate) -> float:
-    if not _is_count(x):
-        return -math.inf
-    k = float(x)
-    if k >= 1000.0:  # where the terms below cancel at large rates
-        return _poisson_log_pmf(k, rate)
-    return k * math.log(rate) - rate - math.lgamma(k + 1.0)
+# A family's facts are written once, as source in its `Family` entry in
+# `FAMILIES` (last in the module), which compiles them into the methods of
+# the classes below and the forms a kernel runs; a class is its fields.
 
 
 def _negbinomial_checked(params) -> tuple:
-    FAMILIES["NegativeBinomial"].check(name for name, _ in params)
+    pairs = params if type(params) is tuple else (params,)
+    FAMILIES["NegativeBinomial"].check(
+        p[0] if type(p) is tuple and len(p) == 2 and type(p[0]) is str else repr(p) for p in pairs)
     params = tuple(sorted((name, _as_float(value)) for name, value in params))
     values = dict(params)
     for name in ("r", "alpha", "beta"):
@@ -144,46 +69,32 @@ def _negbinomial_checked(params) -> tuple:
     return (params,)
 
 
-def _negbinomial_data(x, params) -> float:
-    if not _is_count(x):
-        return -math.inf
-    y = float(x)
-    (first, a), (_, b) = params
-    if first == "p":
-        r, log_p, log_q = b, math.log(a), math.log1p(-a)
-    else:
-        r, log_p, log_q = a, math.log(b) - math.log1p(b), -math.log1p(b)
-    if y > 0.0 and y + r >= 1000.0:  # where the lgamma terms below cancel
-        return _negbin_log_pmf(y, r, math.exp(log_p), math.exp(log_q))
-    return log_binomial(y + r - 1.0, r - 1.0) + r * log_p + y * log_q
-
-
 class _Law(MeasureExpr):
     """A catalog family's measure: unit mass, on a base that ignores the point.
 
-    Its fields are its family's parameters, checked by the family's
-    ``checked`` on construction.  Its base is the family's ``root``; a class
-    whose family declares a ``weight`` puts the root under the weight of its
-    fields.  It draws as its family's ``sample`` does; a class whose family
-    declares `Lanes` draws an iid block from the words of many streams at
-    once.
+    Its fields are its family's parameters.  Its class's `__post_init__`,
+    `log_density_at`, `base_at`, `_sample_normalized` and ``_block``, the
+    loop an iid block sums, are compiled by its `Family`; a class whose
+    family declares `Lanes` draws an iid block from the words of many
+    streams at once.
     """
 
     static_base = True
-    _family = None  # its `Family`, bound where `FAMILIES` is declared
+    _family = None  # its `Family`, bound as `FAMILIES` is declared
+
+    def __post_init__(self):
+        # Replaced by the family's check; a dataclass calls `__post_init__`
+        # only if the class has one when it is made.
+        pass
 
     def _data_block(self, xs) -> float:
-        family = self._family
-        return _add_up(map(family.data, xs, *[repeat(a) for a in family.args(self)]), 0.0)
+        return self._block(xs)
 
     def _sample_block(self, seed: int, n: int) -> list:
         family = self._family
         if family.lanes is None or n < rng.LANE_MIN:  # one draw at a time is the faster
             return MeasureExpr._sample_block(self, seed, n)
         return family.lanes.block(seed, n, family.args(self))
-
-    def base_at(self, x) -> MeasureExpr:
-        return self._family.root
 
     def unfold(self, x):
         return self.log_density_at(x), self.base_at(x)  # never its own base
@@ -203,50 +114,10 @@ class Normal(_Law):
     mu: float = 0.0
     sigma: float = 1.0
 
-    def __post_init__(self):
-        mu, sigma = self.mu, self.sigma
-        if not (type(mu) is float and type(sigma) is float and -_INF < mu < _INF
-                and 0.0 < sigma < _INF):
-            mu, sigma = _normal_checked(mu, sigma)
-            object.__setattr__(self, "mu", mu)
-            object.__setattr__(self, "sigma", sigma)
-
-    def log_density_at(self, x) -> float:
-        # `_normal_data`, inlined.
-        try:
-            z = (x - self.mu) / self.sigma
-        except OverflowError:  # an int beyond the float range rounds to +-inf
-            return -math.inf
-        return -0.5 * z * z
-
-    def base_at(self, x) -> MeasureExpr:
-        family = self._family
-        return Weighted(family.weight(self.mu, self.sigma), family.root)
-
-    def _sample_normalized(self, seed: int):
-        return self._family.sample(rng.RandomStream(seed), self.mu, self.sigma)
-
-    def _data_block(self, xs) -> float:
-        mu, sigma = self.mu, self.sigma
-        total = 0.0
-        try:
-            for x in xs:
-                z = (x - mu) / sigma
-                total += -0.5 * z * z
-        except OverflowError:  # an int beyond the float range: see `_normal_data`
-            return MeasureExpr._data_block(self, xs)
-        return total
-
 
 @dataclass(frozen=True)
 class Uniform01(_Law):
     """Restriction of Lebesgue measure to [0, 1]."""
-
-    def log_density_at(self, x) -> float:
-        return _uniform01_data(x)
-
-    def _sample_normalized(self, seed: int):
-        return self._family.sample(rng.RandomStream(seed))
 
 
 @dataclass(frozen=True)
@@ -255,19 +126,6 @@ class Exponential(_Law):
 
     rate: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", _exponential_checked(self.rate)[0])
-
-    def log_density_at(self, x) -> float:
-        return _exponential_data(x, self.rate)
-
-    def base_at(self, x) -> MeasureExpr:
-        family = self._family
-        return Weighted(family.weight(self.rate), family.root)
-
-    def _sample_normalized(self, seed: int):
-        return self._family.sample(rng.RandomStream(seed), self.rate)
-
 
 @dataclass(frozen=True)
 class Bernoulli(_Law):
@@ -275,30 +133,12 @@ class Bernoulli(_Law):
 
     p: float = 0.5
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _bernoulli_checked(self.p)[0])
-
-    def log_density_at(self, x) -> float:
-        return _bernoulli_data(x, self.p)
-
-    def _sample_normalized(self, seed: int):
-        return self._family.sample(rng.RandomStream(seed), self.p)
-
 
 @dataclass(frozen=True)
 class Poisson(_Law):
     """Poisson counts with the given rate, over counting measure."""
 
     rate: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "rate", _poisson_checked(self.rate)[0])
-
-    def log_density_at(self, x) -> float:
-        return _poisson_data(x, self.rate)
-
-    def _sample_normalized(self, seed: int):
-        return _poisson_draw(rng.RandomStream(seed), self.rate)
 
 
 @dataclass(frozen=True)
@@ -316,15 +156,6 @@ class NegativeBinomial(_Law):
     """
 
     params: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", _negbinomial_checked(self.params)[0])
-
-    def log_density_at(self, x) -> float:
-        return _negbinomial_data(x, self.params)
-
-    def _sample_normalized(self, seed: int):
-        return _negbinomial_draw(rng.RandomStream(seed), self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +231,14 @@ _LANE_NAMES = {"sqrt": math.sqrt, "log": math.log, "cos": math.cos, "TWO_PI": _T
                "S": 2.0 ** -53}
 
 
+def _compiled(source: str, filename: str, namespace: dict) -> dict:
+    """``namespace`` with the definitions of ``source`` run in it, compiled
+    as ``filename``, whose lines tracebacks and pdb then show (`linecache`)."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
 class Lanes:
     """A draw from a fixed number of uniforms, written once and compiled into
     the form each caller needs.
@@ -437,8 +276,7 @@ class Lanes:
             draw=placing(noise), word_draw=placing(word_noise), noise=noise, word_noise=word_noise,
             word_rows=rows(ws), unit_rows=rows(us),
             place=place, target="(%s)" % "".join(p + ", " for p in params).rstrip(" "))
-        namespace = dict(_LANE_NAMES)
-        exec(compile(source, f"<lanes of {name}>", "exec"), namespace)
+        namespace = _compiled(source, f"<lanes of {name}>", dict(_LANE_NAMES))
         self.units = units
         self.sample, self.placed, self.walk = namespace["sample"], namespace["placed"], namespace["walk"]
         self._block, self._noise, self._unit_noise = (
@@ -467,30 +305,147 @@ class Lanes:
         return (self._noise if words else self._unit_noise)(*columns)
 
 
+# What a `Family` compiles, in a copy of the module's namespace, as the
+# file ``<family {name}>``: {body} is the data term, {self_body} the data
+# term reading the fields from ``self`` (`_on_self`), {summed} the data term
+# in a loop with each ``return`` made an addition to ``total``, and {reads}
+# reads the fields into locals.  ``law`` takes a kernel's maps of the fields
+# (`Map`: point form, column form, constant).  ``weight`` is None for a
+# family that declares none.  `__post_init__` calls ``checked`` only when a
+# field is no float or out of range.
+_MEMBER_SOURCE = """\
+def data(x{params}):
+{body}
+def log_density_at(self, x):
+{self_body}
+def _block(self, xs):
+{reads}    total = 0.0
+    for x in xs:
+{summed}    return total
+
+def column(total, xs, rows):
+    for x, {target} in zip(xs, rows):
+{summed}    return total
+
+def args(self):
+    return {fields}
+
+def _sample_normalized(self, seed):
+    return sample(rng.RandomStream(seed){self_params})
+
+def base_at(self, x):
+    return {base}
+
+def law(maps):
+    {law_target} = maps
+    def params(x):
+        return checked({law_points})
+    def column(xs):
+        return {law_column}
+    return Law(params, column, {law_fixed}, family)
+"""
+_WEIGHT_SOURCE = """
+def weight({args}):
+    return {weight}
+"""
+_CHECKED_SOURCE = """
+def checked({args}):
+{converts}{raises}    return {target}
+"""
+_POST_INIT_SOURCE = """
+def __post_init__(self):
+{reads}{guard}{indent}{target} = checked({args})
+{stores}"""
+
+
+def _on_self(source: str, names: Sequence[str]) -> str:
+    """``source`` with each of the names read as a field of ``self``, except
+    in its comments and its strings (which hold no escaped quote), so a
+    point form reads each field where it uses it, as a method written by
+    hand would."""
+    if not names:
+        return source
+    pattern = r"(\"[^\"\n]*\"|'[^'\n]*'|#.*)|(?<![\w.])(%s)\b" % "|".join(names)
+    return re.sub(pattern, lambda m: m.group(1) or "self." + m.group(2), source)
+
+
+def _member_source(family: "Family", names: Sequence[str]) -> str:
+    """The source `Family` compiles for a family with fields ``names``."""
+    name, checks, weight = family.cls.__name__, family.checks, family.weight
+    lines = [line for line in family.data.splitlines() if line.strip()]
+    margin = min(len(line) - len(line.lstrip()) for line in lines)
+    data = "".join(line[margin:] + "\n" for line in lines)
+    summed = re.sub(r"(?m)^( *)return (.*)$", r"\1total += \2\n\1continue", data)
+    summed = re.sub(r"\ncontinue\n$", "\n", summed)  # none after the last line
+    body = re.sub(r"(?m)^(?=.)", "    ", data)
+    slots = dict(
+        params="".join(", " + f for f in names), args=", ".join(names),
+        target="(%s)" % "".join(f + ", " for f in names).rstrip(" "),
+        fields="(%s)" % "".join(f"self.{f}, " for f in names).rstrip(" "),
+        self_params="".join(", self." + f for f in names),
+        reads="".join(f"    {f} = self.{f}\n" for f in names),
+        body=body, self_body=_on_self(body, names),
+        summed=re.sub(r"(?m)^(?=.)", "        ", summed), weight=weight,
+        base="root" if weight is None else f"Weighted({_on_self(weight, names)}, root)",
+        law_target="(%s)" % "".join(f"(f_{f}, c_{f}, k_{f}), " for f in names).rstrip(" "),
+        law_points=", ".join(f"f_{f}(x)" for f in names),
+        law_column="list(map(checked, %s))" % ", ".join(f"c_{f}(xs)" for f in names)
+        if names else "[checked()] * len(xs)",
+        law_fixed=" and ".join(f"k_{f}" for f in names if re.search(rf"\b{f}\b", weight or ""))
+        or "True")
+    source = _MEMBER_SOURCE + ("\nweight = None\n" if weight is None else _WEIGHT_SOURCE)
+    if checks is not None:
+        source += _CHECKED_SOURCE
+        slots.update(
+            converts="".join(f"    if type({f}) is not float:\n        {f} = _as_float({f})\n"
+                             for f in names),
+            raises="".join(f"    if not ({condition}):\n        raise ValueError("
+                           f"f\"{name} requires {requirement}, got {{{f}}}\")\n"
+                           for f, (condition, requirement) in zip(names, checks)))
+    if names:
+        source += _POST_INIT_SOURCE
+        guard = "" if checks is None else "    if not (%s):\n" % " and ".join(
+            [f"type({f}) is float" for f in names] + [f"({c})" for c, _ in checks])
+        indent = "    " if checks is None else "        "
+        slots.update(guard=guard, indent=indent, stores="".join(
+            f"{indent}object.__setattr__(self, {f!r}, {f})\n" for f in names))
+    return source.format(**slots)
+
+
 @dataclass(frozen=True)
 class Family:
     """A catalog family, declared once for constructors, kernels, documents
     and the family's own measures.
 
-    ``parameterizations`` are the accepted sets of parameter names.  Four
-    functions of the parameters say what a member is: ``checked(*values)``
-    takes the values of the fields of ``cls`` in order and gives them back
-    as floats, or raises ValueError for one out of range; ``data(x,
-    *checked)`` is the data term at x; ``weight(*checked)`` the log constant
-    the base carries (None: the base is ``root`` itself), which reads only
-    the parameters named in ``weight_reads``; and ``root`` the primitive
-    measure the base ends at.  A member builds its base from
-    ``weight`` and ``root`` (`base_at`), and a kernel over the family
-    evaluates its members through them without building one (`law`).  Dirac
-    declares none of them: its root is the member itself.  A member draws
-    with ``sample(stream, *checked)``, as does a kernel over the family,
-    with no member built.  A family whose draw takes a fixed number of
-    uniforms declares instead ``draw``, a pair of expressions: its standard
-    draw in the uniforms and the placement of that draw ``z`` at the fields
-    (`Lanes`, found as ``lanes``; ``sample`` is its draw from a stream).  Its
-    iid blocks, the factors of a product of its members, and the steps of a
-    chain over a kernel of it then draw the words of many streams at once
-    and turn each chunk into draws in one comprehension.
+    ``parameterizations`` are the accepted sets of parameter names.  The
+    fields of ``cls`` are the parameters, and what a member is comes as
+    source in their names: ``checks``, per field, a condition on its value
+    (a value that is no float is converted first) and what the error says
+    it requires; ``data``, the data term at x, the body of a function of x
+    and the fields with each ``return`` on one line; and ``weight``, the
+    log constant its base carries over ``root`` (None: the base is ``root``
+    itself).  NegativeBinomial, whose field is no float, declares a
+    function ``checked`` instead of ``checks``.  Dirac declares none of
+    them: its root is the member itself.
+
+    `Family` compiles that source (`_MEMBER_SOURCE`) into the class's
+    `__post_init__`, `log_density_at`, `base_at`, `_sample_normalized` and
+    ``_block(xs)``, the sum over an iid block (`_Law._data_block`); into
+    the functions of the checked fields that a kernel over the family calls
+    with no member built: ``checked``, ``data``, ``weight`` and
+    ``column(total, xs, rows)``, total plus the terms at a column of
+    points, each with its row of fields; into the kernel's `Law` (`law`),
+    whose weight is fixed when the maps of the fields ``weight`` names are
+    constant; and into ``args(m)``, a member's fields.
+
+    A member draws with ``sample(stream, *fields)``, as does a kernel over
+    the family.  A family whose draw takes a fixed number of uniforms
+    declares instead ``draw``, a pair of expressions: its standard draw in
+    the uniforms and the placement of that draw ``z`` at the fields
+    (`Lanes`, found as ``lanes``; ``sample`` is its draw from a stream).
+    Its iid blocks, the factors of a product of its members, and the steps
+    of a chain over a kernel of it then draw the words of many streams at
+    once and turn each chunk into draws in one comprehension.
 
     ``build`` makes the measure from keyword parameters named as in one of
     the parameterizations, and ``params`` reads them back from a measure, in
@@ -502,11 +457,11 @@ class Family:
 
     cls: type
     parameterizations: Tuple[Set[str], ...]
-    checked: Optional[Callable[..., tuple]] = None
-    data: Optional[Callable[..., float]] = None
-    weight: Optional[Callable[..., float]] = None
+    checks: Optional[Tuple[Tuple[str, str], ...]] = None
+    data: Any = None  # source, then its compiled point form
+    weight: Any = None  # likewise
     root: Optional[MeasureExpr] = None
-    weight_reads: Tuple[str, ...] = ()
+    checked: Optional[Callable[..., tuple]] = None
     build: Optional[Callable[..., MeasureExpr]] = None
     params: Optional[Callable[[MeasureExpr], dict]] = None
     arguments: Optional[Callable[[dict], tuple]] = None
@@ -514,25 +469,29 @@ class Family:
     sample: Optional[Callable[..., Any]] = None
 
     def __post_init__(self):
-        # ``args(m)``: the fields of a member in order, the parameters the
-        # family's functions take (attrgetter gives a tuple for two or more).
-        names = [f.name for f in fields(self.cls)]
-        if len(names) == 1:
-            field = attrgetter(*names)
-            args = lambda m: (field(m),)  # noqa: E731
-        else:
-            args = attrgetter(*names) if names else lambda m: ()
-        object.__setattr__(self, "args", args)
-        lanes = None if self.draw is None else Lanes(*self.draw, names, self.cls.__name__)
+        cls, names = self.cls, [f.name for f in fields(self.cls)]
+        lanes = None if self.draw is None else Lanes(*self.draw, names, cls.__name__)
         object.__setattr__(self, "lanes", lanes)
         if lanes is not None:
             object.__setattr__(self, "sample", lanes.sample)
+        if self.data is not None:
+            namespace = _compiled(_member_source(self, names), f"<family {cls.__name__}>",
+                                  dict(globals(), root=self.root, sample=self.sample,
+                                       checked=self.checked, family=self))
+            object.__setattr__(self, "_law", namespace["law"])
+            for name in ("checked", "data", "weight", "args", "column"):
+                object.__setattr__(self, name, namespace[name])
+            for name in ("__post_init__", "log_density_at", "base_at", "_sample_normalized",
+                         "_block"):
+                if name in namespace:
+                    setattr(cls, name, namespace[name])
+            cls._family = self
         if self.build is None:
-            object.__setattr__(self, "build", self.cls)
+            object.__setattr__(self, "build", cls)
         if self.params is None:
             object.__setattr__(self, "params", lambda m: {n: getattr(m, n) for n in names})
         if self.arguments is None:
-            defaults = [(f.name, f.default) for f in fields(self.cls)]
+            defaults = [(f.name, f.default) for f in fields(cls)]
             object.__setattr__(self, "arguments", lambda maps: tuple(
                 maps.get(name) or constant(default) for name, default in defaults))
 
@@ -552,62 +511,11 @@ class Family:
     def law(self, maps: dict) -> Optional[Law]:
         """The `Law` of a kernel with these parameter maps (name -> `Map`);
         None for Dirac."""
-        if self.data is None:
-            return None
-        checked, args = self.checked, self.arguments(maps)
-        # One or two maps without a list per point: a 1000-step Normal
-        # chain takes about 1.5 times as long through the list.
-        if len(args) == 1:
-            ((f, c, _),) = args
-            params = lambda x: checked(f(x))  # noqa: E731
-            column = lambda xs: list(map(checked, c(xs)))  # noqa: E731
-        elif len(args) == 2:
-            (f, c, _), (g, d, _) = args
-            params = lambda x: checked(f(x), g(x))  # noqa: E731
-            column = lambda xs: list(map(checked, c(xs), d(xs)))  # noqa: E731
-        else:
-            getters = [m.point for m in args]
-            params = lambda x: checked(*[g(x) for g in getters])  # noqa: E731
-            column = lambda xs: [params(x) for x in xs]  # noqa: E731
-        names = [f.name for f in fields(self.cls)]
-        fixed = all(args[names.index(name)].constant for name in self.weight_reads)
-        return Law(params, column, fixed, self)
+        return None if self.data is None else self._law(self.arguments(maps))
 
     def __call__(self, **params) -> MeasureExpr:
         self.check(params)
         return self.build(**params)
-
-
-FAMILIES = {
-    family.cls.__name__: family
-    for family in (
-        Family(Normal, ({"mu", "sigma"}, {"mu"}, {"sigma"}, set()),
-               _normal_checked, _normal_data, _normal_weight, LEBESGUE, ("sigma",),
-               draw=("sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2)",  # Box-Muller
-                     "mu + sigma * z")),
-        Family(
-            NegativeBinomial,
-            ({"p", "r"}, {"alpha", "beta"}),
-            _negbinomial_checked, _negbinomial_data, None, COUNTING,
-            build=lambda **params: NegativeBinomial(tuple(params.items())),
-            params=lambda m: dict(m.params),
-            arguments=_negbinomial_arguments,
-            sample=lambda stream, params: _negbinomial_draw(stream, params),  # defined below
-        ),
-        Family(Uniform01, (set(),), lambda: (), _uniform01_data, None, LEBESGUE,
-               draw=("u1", "z")),
-        Family(Bernoulli, ({"p"}, set()), _bernoulli_checked, _bernoulli_data, None, COUNTING,
-               draw=("u1", "1 if z < p else 0")),
-        Family(Poisson, ({"rate"}, set()), _poisson_checked, _poisson_data, None, COUNTING,
-               sample=lambda stream, rate: _poisson_draw(stream, rate)),
-        Family(Exponential, ({"rate"}, set()), _exponential_checked, _exponential_data,
-               math.log, LEBESGUE, ("rate",), draw=("-log(u1)", "z / rate")),
-        Family(Dirac, ({"a"},), build=lambda a: Dirac(a), params=lambda m: {"a": m.atom}),
-    )
-}
-for _family in FAMILIES.values():
-    if _family.data is not None:  # not Dirac, which is its own base
-        _family.cls._family = _family
 
 
 def make_normal(**params) -> Normal:
@@ -755,3 +663,93 @@ def _gamma_draw(stream: rng.RandomStream, shape: float) -> float:
             return d * v
         if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
             return d * v
+
+
+# ---------------------------------------------------------------------------
+# The declarations
+# ---------------------------------------------------------------------------
+# Last in the module: a family's source is compiled in the module's
+# namespace as it stands, so each function the source calls comes first.
+
+_POSITIVE_RATE = (("0.0 < rate < _INF", "finite rate > 0"),)
+
+FAMILIES = {
+    family.cls.__name__: family
+    for family in (
+        Family(
+            Normal, ({"mu", "sigma"}, {"mu"}, {"sigma"}, set()),
+            checks=(("-_INF < mu < _INF", "finite mu"), ("0.0 < sigma < _INF", "finite sigma > 0")),
+            data="""
+                try:
+                    z = (x - mu) / sigma
+                except OverflowError:  # an int beyond the float range rounds to +-inf
+                    return -math.inf
+                return -0.5 * z * z
+            """,
+            weight="-math.log(sigma) - _HALF_LOG_TWO_PI", root=LEBESGUE,
+            draw=("sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2)",  # Box-Muller
+                  "mu + sigma * z"),
+        ),
+        Family(
+            NegativeBinomial, ({"p", "r"}, {"alpha", "beta"}),
+            checked=_negbinomial_checked,
+            data="""
+                if not _is_count(x):
+                    return -math.inf
+                y = float(x)
+                (first, a), (_, b) = params
+                if first == "p":
+                    r, log_p, log_q = b, math.log(a), math.log1p(-a)
+                else:
+                    r, log_p, log_q = a, math.log(b) - math.log1p(b), -math.log1p(b)
+                if y > 0.0 and y + r >= 1000.0:  # where the lgamma terms below cancel
+                    return _negbin_log_pmf(y, r, math.exp(log_p), math.exp(log_q))
+                return log_binomial(y + r - 1.0, r - 1.0) + r * log_p + y * log_q
+            """,
+            root=COUNTING,
+            build=lambda **params: NegativeBinomial(tuple(params.items())),
+            params=lambda m: dict(m.params),
+            arguments=_negbinomial_arguments,
+            sample=_negbinomial_draw,
+        ),
+        Family(
+            Uniform01, (set(),), checks=(),
+            data="return 0.0 if 0.0 <= x <= 1.0 else -math.inf", root=LEBESGUE,
+            draw=("u1", "z"),
+        ),
+        Family(
+            Bernoulli, ({"p"}, set()), checks=(("0.0 <= p <= 1.0", "0 <= p <= 1"),),
+            data="""
+                if x == 1:
+                    return math.log(p) if p > 0.0 else -math.inf
+                if x == 0:
+                    return math.log1p(-p) if p < 1.0 else -math.inf
+                return -math.inf
+            """,
+            root=COUNTING, draw=("u1", "1 if z < p else 0"),
+        ),
+        Family(
+            Poisson, ({"rate"}, set()), checks=_POSITIVE_RATE,
+            data="""
+                if not _is_count(x):
+                    return -math.inf
+                k = float(x)
+                if k >= 1000.0:  # where the terms below cancel at large rates
+                    return _poisson_log_pmf(k, rate)
+                return k * math.log(rate) - rate - math.lgamma(k + 1.0)
+            """,
+            root=COUNTING, sample=_poisson_draw,
+        ),
+        Family(
+            Exponential, ({"rate"}, set()), checks=_POSITIVE_RATE,
+            data="""
+                try:
+                    return -rate * x if x >= 0.0 else -math.inf
+                except OverflowError:  # an int beyond the float range rounds to inf
+                    return -math.inf
+            """,
+            weight="math.log(rate)", root=LEBESGUE, draw=("-log(u1)", "z / rate"),
+        ),
+        Family(Dirac, ({"a"},), build=lambda a: Dirac(a), params=lambda m: {"a": m.atom}),
+    )
+}

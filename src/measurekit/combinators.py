@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice, repeat, starmap
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import core, rng
@@ -151,15 +151,14 @@ def _column_terms(law, x, data: float, weights: list) -> Optional[float]:
         return None
     _, column, fixed, family = law
     params = column(x[:-1])
-    args = tuple(zip(*params))  # one column per checked parameter
     weight = family.weight
     if weight is None:
         weights += [None] * len(cur)
     elif fixed:
         weights += [weight(*params[0])] * len(cur)
     else:
-        weights.extend(map(weight, *args))
-    return core._add_up(map(family.data, cur, *args), data)
+        weights.extend(starmap(weight, params))
+    return family.column(data, cur, params)
 
 
 def _rejoined(weight: Optional[float], base: MeasureExpr) -> MeasureExpr:

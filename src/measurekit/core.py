@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
-import sys
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from typing import Any, NamedTuple, Optional, Tuple
 
 from . import rng
@@ -206,12 +204,6 @@ def _logsumexp(values) -> float:
     bits.
     """
     return reduce(_logaddexp, values)
-
-
-#: ``_add_up(values, start)``: start plus the values, added left to right
-#: as a loop of ``+=`` adds them, so a sum over a column keeps the loop's
-#: bits.  `sum` does so before Python 3.12, which compensates float sums.
-_add_up = sum if sys.version_info < (3, 12) else partial(reduce, operator.add)
 
 
 def logaddexp(a, b) -> LogWeight:

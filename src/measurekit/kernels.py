@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import catalog, core, rng
 from .combinators import ForProduct, _kernel_terms, _Product
-from .core import LogWeight, MeasureExpr, NotProbabilityError, ShapeError
+from .core import LogWeight, MeasureExpr, NotProbabilityError, ShapeError, _as_float
 
 # Closed vocabulary of serializable parameter maps.
 
@@ -41,19 +41,20 @@ def resolve_map(spec) -> catalog.Map:
     point and over a column of points: the column of "identity" is the
     points themselves, that of "const:<v>" repeats v, that of
     "affine:<a>:<b>" is one comprehension, and a callable or "sqrt" is
-    mapped over the points."""
+    mapped over the points.  At a point, "sqrt" and "affine" read an int
+    beyond the float range as the infinity of its sign."""
     if callable(spec):
         return catalog.calls(spec)
     if spec == "identity":
         return catalog.Map(lambda x: x, lambda xs: xs)
     if spec == "sqrt":
-        return catalog.calls(math.sqrt)
+        return catalog.Map(lambda x: math.sqrt(_as_float(x)), lambda xs: map(math.sqrt, xs))
     if isinstance(spec, str) and spec.startswith("const:"):
         return catalog.constant(float(spec.split(":", 1)[1]))
     if isinstance(spec, str) and spec.startswith("affine:") and spec.count(":") == 2:
         _, a, b = spec.split(":")
         a, b = float(a), float(b)
-        return catalog.Map(lambda x: a * x + b, lambda xs: [a * x + b for x in xs])
+        return catalog.Map(lambda x: a * _as_float(x) + b, lambda xs: [a * x + b for x in xs])
     raise ValueError(f"unknown parameter map {spec!r}")
 
 

@@ -1,5 +1,6 @@
-"""Edges: ints beyond the float range, scalings that cancel, and the
-negative binomial log-pmf at large r and k."""
+"""Edges: ints beyond the float range, scalings that cancel, the negative
+binomial log-pmf at large r and k, and malformed negative binomial
+parameters."""
 
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 import measurekit as mk
 from measurekit import COUNTING, Dirac, log_density
 from measurekit.cli import main, parse_expr, print_expr
+from measurekit.combinators import _COLUMNS_MIN as COLUMNS_MIN
 
 BIG = 10**400
 
@@ -44,6 +46,29 @@ class TestIntsBeyondTheFloatRange:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "invalid scaling weight inf" in err
+
+    @pytest.mark.parametrize("spec, x, got", [
+        ("affine:1.0:0.5", BIG, "inf"), ("affine:1.0:0.5", -BIG, "-inf"), ("sqrt", BIG, "inf"),
+    ])
+    @pytest.mark.parametrize("n", [2, COLUMNS_MIN + 4])
+    def test_named_maps_read_them_as_infinities(self, spec, x, got, n):
+        kernel = mk.make_kernel("Poisson", rate=spec)
+        message = f"^Poisson requires finite rate > 0, got {got}$"
+        for prefix in ((x,) + (2,) * (n - 1), (2,) * (n - 2) + (x, 2)):
+            with pytest.raises(ValueError, match=message):
+                mk.chain_logdensity(mk.chain(kernel, mk.Poisson(2.0)), prefix)
+        with pytest.raises(ValueError, match=message):
+            log_density(mk.bind(mk.Poisson(2.0), kernel), (x, 2))
+        with pytest.raises(ValueError, match=message):
+            mk.for_product([2] * (n - 1) + [x], kernel)
+
+    def test_a_bind_document_with_a_named_map_exits_1_with_one_line(self, tmp_path, capsys):
+        doc = tmp_path / "bind.json"
+        kernel = {"family": "Poisson", "maps": {"rate": "affine:1.0:0.5"}}
+        doc.write_text(json.dumps({"Bind": {"of": {"Poisson": {"rate": 2.0}}, "kernel": kernel}}))
+        assert main(["logdensity", "--expr", str(doc), "--at", f"[{BIG}, 2]"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Poisson requires finite rate > 0, got inf\n"
 
 
 class TestScalingsThatCancel:
@@ -85,3 +110,12 @@ class TestNegativeBinomialAtLargeArguments:
                     lgammas = math.lgamma(k + r) - math.lgamma(r) - math.lgamma(k + 1.0)
                     want = lgammas + r * log_p + k * log_q
                     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("params", [
+    (1, 2), "pr", (("p", 0.4),), (("p", 0.4), ("r", 2.0), 3), (("p", 0.4, 1), ("r", 2.0)),
+    [("p", 0.4), ("r", 2.0)], ((1, 0.4), (2, 2.0)), None,
+])
+def test_malformed_negative_binomial_params_are_an_unknown_parameterization(params):
+    with pytest.raises(ValueError, match="^unknown parameterization .* for NegativeBinomial; "):
+        mk.NegativeBinomial(params)
