@@ -21,6 +21,7 @@ from __future__ import annotations
 import linecache
 import math
 import re
+import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple
@@ -31,6 +32,7 @@ from .core import COUNTING, LEBESGUE, Dirac, MeasureExpr, Weighted, _as_float, _
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 _INF = math.inf
+_MAX = sys.float_info.max
 
 
 def _is_count(x) -> bool:
@@ -188,9 +190,45 @@ class Law(NamedTuple):
     point without building it (`Family.law`)."""
 
     params: Callable[[Any], tuple]  # the member's checked parameters at a point
-    column: Callable[[Sequence], list]  # ``params`` at each point of a sequence
+    column: Callable[[Sequence], tuple]  # the maps' columns over a sequence (`_columns`)
     fixed: bool  # whether every parameter ``family.weight`` reads is constant
     family: "Family"
+
+
+_FLOAT = frozenset((float,))
+
+
+def _columns(xs: Sequence, maps: Sequence[Map], within, wide: Sequence[bool]) -> Tuple[bool, list]:
+    """Whether the columns of ``maps`` over ``xs`` pass the family's checks
+    whole, and the columns, each read once.  They pass when every value is
+    a float, no sum is NaN, and ``within`` holds at the minima and at the
+    maxima: each check is an interval in its own field, so then `checked`
+    would pass every element unchanged.  A field whose check passes every
+    finite float (``wide``) needs only a finite sum.  A constant map is
+    screened once.  Anything else, and no ``within``, does not pass."""
+    n = len(xs)
+    columns, lows, highs = [], [], []
+    passed = within is not None and n > 0
+    for (point, column, constant), finite in zip(maps, wide):
+        if constant:
+            value = point(None)
+            columns.append([value] * n)
+            passed = passed and type(value) is float
+            lows.append(value)
+            highs.append(value)
+            continue
+        values = column(xs)
+        if type(values) is not list and type(values) is not tuple:
+            values = list(values)
+        columns.append(values)
+        passed = passed and _FLOAT.issuperset(map(type, values)) and (total := sum(values)) == total
+        if passed and finite and -_INF < total < _INF:
+            lows.append(total)
+            highs.append(total)
+        elif passed:
+            lows.append(min(values))
+            highs.append(max(values))
+    return passed and within(*lows) and within(*highs), columns
 
 
 def _negbinomial_arguments(maps: dict) -> tuple:
@@ -311,8 +349,9 @@ class Lanes:
 # in a loop with each ``return`` made an addition to ``total``, and {reads}
 # reads the fields into locals.  ``law`` takes a kernel's maps of the fields
 # (`Map`: point form, column form, constant).  ``weight`` is None for a
-# family that declares none.  `__post_init__` calls ``checked`` only when a
-# field is no float or out of range.
+# family that declares none, and ``within`` for one that declares no
+# ``checks``.  `__post_init__` calls ``checked`` only when a field is no
+# float or out of range.
 _MEMBER_SOURCE = """\
 def data(x{params}):
 {body}
@@ -323,9 +362,12 @@ def _block(self, xs):
     for x in xs:
 {summed}    return total
 
-def column(total, xs, rows):
-    for x, {target} in zip(xs, rows):
+def columns(total, xs{params}):
+    for {column_rows}:
 {summed}    return total
+
+def column(total, xs, rows):
+    return columns(total, xs, *zip(*rows)) if rows else total
 
 def args(self):
     return {fields}
@@ -341,7 +383,7 @@ def law(maps):
     def params(x):
         return checked({law_points})
     def column(xs):
-        return {law_column}
+        return _columns(xs, maps, within, wide)
     return Law(params, column, {law_fixed}, family)
 """
 _WEIGHT_SOURCE = """
@@ -351,6 +393,9 @@ def weight({args}):
 _CHECKED_SOURCE = """
 def checked({args}):
 {converts}{raises}    return {target}
+
+def within({args}):
+    return {conditions}
 """
 _POST_INIT_SOURCE = """
 def __post_init__(self):
@@ -389,14 +434,17 @@ def _member_source(family: "Family", names: Sequence[str]) -> str:
         base="root" if weight is None else f"Weighted({_on_self(weight, names)}, root)",
         law_target="(%s)" % "".join(f"(f_{f}, c_{f}, k_{f}), " for f in names).rstrip(" "),
         law_points=", ".join(f"f_{f}(x)" for f in names),
-        law_column="list(map(checked, %s))" % ", ".join(f"c_{f}(xs)" for f in names)
-        if names else "[checked()] * len(xs)",
+        column_rows="x, %s in zip(xs, %s)" % (", ".join(names), ", ".join(names))
+        if names else "x in xs",
         law_fixed=" and ".join(f"k_{f}" for f in names if re.search(rf"\b{f}\b", weight or ""))
         or "True")
     source = _MEMBER_SOURCE + ("\nweight = None\n" if weight is None else _WEIGHT_SOURCE)
-    if checks is not None:
+    if checks is None:
+        source += "\nwithin = None\n"
+    else:
         source += _CHECKED_SOURCE
         slots.update(
+            conditions=" and ".join(f"({condition})" for condition, _ in checks) or "True",
             converts="".join(f"    if type({f}) is not float:\n        {f} = _as_float({f})\n"
                              for f in names),
             raises="".join(f"    if not ({condition}):\n        raise ValueError("
@@ -433,10 +481,13 @@ class Family:
     ``_block(xs)``, the sum over an iid block (`_Law._data_block`); into
     the functions of the checked fields that a kernel over the family calls
     with no member built: ``checked``, ``data``, ``weight`` and
-    ``column(total, xs, rows)``, total plus the terms at a column of
-    points, each with its row of fields; into the kernel's `Law` (`law`),
-    whose weight is fixed when the maps of the fields ``weight`` names are
-    constant; and into ``args(m)``, a member's fields.
+    ``columns(total, xs, *fields)``, total plus the terms at a column of
+    points, with one column per field (``column(total, xs, rows)`` takes
+    a row of fields per point); into the kernel's `Law` (`law`), whose
+    weight is fixed when the maps of the fields ``weight`` names are
+    constant and whose column form screens whole columns with ``within``,
+    the conjunction of the checks (`_columns`); and into ``args(m)``, a
+    member's fields.
 
     A member draws with ``sample(stream, *fields)``, as does a kernel over
     the family.  A family whose draw takes a fixed number of uniforms
@@ -475,11 +526,16 @@ class Family:
         if lanes is not None:
             object.__setattr__(self, "sample", lanes.sample)
         if self.data is not None:
+            # Per field, whether its check passes every finite float: an
+            # interval that holds both extremes holds all between them.
+            wide = (False,) * len(names) if self.checks is None else tuple(
+                all(eval(condition, globals(), {name: v}) for v in (-_MAX, _MAX))
+                for name, (condition, _) in zip(names, self.checks))
             namespace = _compiled(_member_source(self, names), f"<family {cls.__name__}>",
                                   dict(globals(), root=self.root, sample=self.sample,
-                                       checked=self.checked, family=self))
+                                       checked=self.checked, family=self, wide=wide))
             object.__setattr__(self, "_law", namespace["law"])
-            for name in ("checked", "data", "weight", "args", "column"):
+            for name in ("checked", "data", "weight", "args", "column", "columns"):
                 object.__setattr__(self, name, namespace[name])
             for name in ("__post_init__", "log_density_at", "base_at", "_sample_normalized",
                          "_block"):
@@ -595,7 +651,9 @@ def _poisson_ptrs(stream: rng.RandomStream, rate: float) -> int:
         # P(0) < exp(-1400) is 0 in floating point, so k = 0 is rejected too.
         if k < 1 or (us < 0.013 and v > us):
             continue
-        if math.log(v) + log_alpha - math.log(a / (us * us) + b) <= _poisson_log_pmf(k, rate):
+        # At a float k: above a rate of about 1e154 the int's square in
+        # `_stirlerr` is beyond the float range.
+        if math.log(v) + log_alpha - math.log(a / (us * us) + b) <= _poisson_log_pmf(float(k), rate):
             return k
 
 

@@ -312,6 +312,8 @@ def _cmd_logdensity(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"-n must be >= 0, got {args.n}")
     expr = _load_expr(args.expr)
     for i in range(args.n):
         draw = core.sample(expr, derive_key(args.seed, i))

@@ -9,9 +9,11 @@ pure.
 points and share one set of loops (`_Product`): each declares only its
 factors at a point and how their bases make its base.  `Product` and
 `ForProduct` have fixed factors (`_FixedProduct`); a ForProduct applies its
-kernel once per index, when it is built.  The factors of `Bind` and `Chain`
-depend on the point; over a family kernel they are read over columns of
-the elements (`_column_terms`), with no measure built.  `Pushforward` and
+kernel once per index, when it is built, and the fields of factors of one
+family are kept as columns.  The factors of `Bind` and `Chain` depend on
+the point; over a family kernel they are read over columns of the elements
+(`_column_terms`), with no measure built, and their parameters checked a
+column at a time.  `Pushforward` and
 `PointwiseProduct` over such a measure check the point as they evaluate it,
 as `Power` and the fixed products do, so a kernel runs once per element.
 """
@@ -19,9 +21,12 @@ as `Power` and the fixed products do, so a kernel runs once per element.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice, repeat, starmap
+from functools import partial, reduce
+from itertools import islice, repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from . import core, rng
@@ -143,22 +148,27 @@ def _column_terms(law, x, data: float, weights: list) -> Optional[float]:
     """data plus the family's data terms of x[1:], the elements of a product
     over a family kernel, each at the parameters the law maps x[i - 1] to,
     added left to right as the loop of `_kernel_terms` adds them; their base
-    weights go to ``weights``.  Each parameter map, the check and the data
-    term run over whole columns; the weight runs once when the parameters
-    it reads are constant.  None where an element is no float or int."""
+    weights go to ``weights``.  Each parameter map, the data term and the
+    weight run over whole columns, the weight once when the parameters it
+    reads are constant; the check screens each column whole
+    (`catalog._columns`), and where a column does not pass, `checked` reads
+    it element by element, which converts a value or raises at the first it
+    rejects.  None where an element is no float or int."""
     cur = x[1:]
     if not _PLAIN.issuperset(map(type, cur)):
         return None
     _, column, fixed, family = law
-    params = column(x[:-1])
+    passed, params = column(x[:-1])
+    if not passed:
+        params = tuple(zip(*map(family.checked, *params)))
     weight = family.weight
     if weight is None:
         weights += [None] * len(cur)
     elif fixed:
-        weights += [weight(*params[0])] * len(cur)
+        weights += [weight(*[p[0] for p in params])] * len(cur)
     else:
-        weights.extend(starmap(weight, params))
-    return family.column(data, cur, params)
+        weights.extend(map(weight, *params))
+    return family.columns(data, cur, *params)
 
 
 def _rejoined(weight: Optional[float], base: MeasureExpr) -> MeasureExpr:
@@ -172,7 +182,10 @@ class _FixedProduct(_Product):
     and draws run factor by factor, left to right; when every factor is of
     a family that declares `catalog.Lanes`, each family's standard draws
     come a chunk of streams at a time and its factors' are placed at their
-    parameters.
+    parameters.  From `_COLUMNS_MIN` factors of one family on, the point's
+    check is its length and one scan of its types (each factor's is the
+    default scalar check), and its data terms are one sum over the
+    factors' field columns, kept as it is built.
     A subclass declares ``children``, the message of its length error and
     `_base_of`.
     """
@@ -183,12 +196,22 @@ class _FixedProduct(_Product):
     #: family: (its `catalog.Lanes`, its ``args``, the indexes of its
     #: factors, its factors), in order of first appearance.
     _groups = None
+    #: When the factors are `_COLUMNS_MIN` or more members of one family:
+    #: the `catalog.Family` and its fields' columns over the factors.
+    _columns = None
 
     def __post_init__(self):
-        # The flags and the groups are stored, not computed per read: a
-        # ForProduct may have thousands of factors.
+        # The flags, the groups and the columns are stored, not computed per
+        # read: a ForProduct may have thousands of factors.
+        children = self.children
+        if len(children) >= _COLUMNS_MIN:  # a short product, a Bind's base say, skips the scan
+            cls = type(children[0])
+            family = getattr(cls, "_family", None)
+            if (family is not None and children[0]._checked_shape() == ()
+                    and all(type(child) is cls for child in children)):
+                object.__setattr__(self, "_columns", (family, tuple(zip(*map(family.args, children)))))
         groups = {}
-        for i, child in enumerate(self.children):
+        for i, child in enumerate(children):
             family = getattr(type(child), "_family", None)
             if family is None or family.lanes is None:
                 break
@@ -214,8 +237,13 @@ class _FixedProduct(_Product):
 
     def check_point(self, x) -> None:
         self._check_length(x)
+        if self._columns is not None and _PLAIN.issuperset(map(type, x)):
+            return  # each factor's check passes a float or an int
         for child, xi in zip(self.children, x):
             child.check_point(xi)
+
+    def _checked_shape(self):
+        return None if self._columns is None else (len(self.children),)
 
     def _factors(self, x):
         if self.self_checking:
@@ -228,6 +256,9 @@ class _FixedProduct(_Product):
 
     def log_density_at(self, x) -> float:
         # The data terms alone: a walk plan replays them at every point.
+        if self._columns is not None:
+            family, columns = self._columns
+            return family.columns(0.0, x, *columns)
         total = 0.0
         for m, xi in zip(self._factors(x), x):
             total += m.log_density_at(xi)
@@ -345,26 +376,38 @@ def product_base(bases: Sequence[MeasureExpr], shape: Tuple[int, ...]) -> Measur
     return _joined_base(_weights(bases), bases, shape)
 
 
+# Before Python 3.12 `sum` adds floats left to right, as a loop does; from
+# 3.12 on it compensates, which rounds otherwise.
+_left_sum = sum if sys.version_info < (3, 12) else partial(reduce, operator.add)
+
+
 def _weights(bases) -> list:
     return [b.logweight if isinstance(b, Weighted) else None for b in bases]
 
 
 def _joined_base(weights: list, bases: list, shape: Tuple[int, ...]) -> MeasureExpr:
-    """`product_base` of entries as `_Product._terms` gives them."""
+    """`product_base` of entries as `_Product._terms` gives them.  Where
+    every base after the first is the first's root, as a family kernel's
+    are, one list comparison in C finds it, and the weights, when none is
+    None, are summed left to right in C too."""
     first = bases[0]
     if isinstance(first, Weighted):
         first = first.base
-    for b in bases:
-        if b is not first:
-            inner = b.base if isinstance(b, Weighted) else b
-            if inner is not first and inner != first:
-                return _nested_product(map(_rejoined, weights, bases), shape)
-    weighted = False
-    logweight = 0.0
-    for w in weights:
-        if w is not None:
-            weighted = True
-            logweight += w
+    if bases[1:] != [first] * (len(bases) - 1):
+        for b in bases:
+            if b is not first:
+                inner = b.base if isinstance(b, Weighted) else b
+                if inner is not first and inner != first:
+                    return _nested_product(map(_rejoined, weights, bases), shape)
+    try:
+        logweight, weighted = _left_sum(weights, 0.0), True
+    except TypeError:  # a factor with no weight: the others', left to right
+        weighted = False
+        logweight = 0.0
+        for w in weights:
+            if w is not None:
+                weighted = True
+                logweight += w
     if len(bases) == 1:
         logweight *= _shape_size(shape)
     return Weighted(logweight, Power(first, shape)) if weighted else Power(first, shape)

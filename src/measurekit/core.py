@@ -303,7 +303,8 @@ class MeasureExpr:
     def _checked_shape(self) -> Optional[Tuple[int, ...]]:
         """The shape of nested tuples of scalars that `check_point` accepts
         and nothing else, () for a scalar, when the check is the default
-        scalar check under iid powers and constant weights; else None.  Two
+        scalar check under iid powers, constant weights and products of one
+        family's members (`combinators._FixedProduct`); else None.  Two
         measures of one such shape accept the same points."""
         return () if type(self).check_point is MeasureExpr.check_point else None
 

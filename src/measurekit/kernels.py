@@ -9,10 +9,12 @@ depend on the point (on the loops of `combinators._Product`).  For a family
 kernel its density builds no measure and runs over columns: a kernel
 resolves each parameter map once, at construction, to its value at a point
 and its values over a column of points (`catalog.Map`), so the map of the
-previous elements, the parameter check, the elements' type check and the
-data term each run once over their column, and the base constant once when
-the parameters it reads are constant; a short prefix, and one where an
-element raises, is read by the per-element loop, which raises at that
+previous elements, the elements' type check and the data term each run
+once over their column, and the base constant once when the parameters it
+reads are constant.  The parameter check screens each column whole, with
+C-level scans of its types, its sum and its extremes; a column it is in
+doubt about is checked element by element.  A short prefix, and one where
+an element raises, is read by the per-element loop, which raises at that
 element.  An opaque kernel's element is the node it returns, checked and
 unfolded once.  A draw over a family kernel builds no measure either: each
 step maps and checks the parameters and draws from its stream with the

@@ -8,6 +8,7 @@ base-weight bookkeeping.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import astuple, dataclass
 from typing import Callable, Tuple
@@ -16,7 +17,9 @@ from . import core, rng
 from .combinators import Product
 from .core import COUNTING, LEBESGUE, MeasureExpr, UndefinedDensityError
 
-_MAX_DEPTH = 40
+#: Bisections after the first 8 panels: at most 2**20 panels, so a call ends
+#: in bounded time at any tolerance.
+_MAX_DEPTH = 17
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
 
     Composite Simpson estimates are computed on nested panel grids (every
     bisection doubles the panel count) until the Richardson error estimate
-    |S_2n - S_n| / 15 drops to the absolute tolerance; at most 40 bisections.
+    |S_2n - S_n| / 15 drops to the absolute tolerance, or up to 2**20
+    panels, whose estimate is returned.
     Nested grids make the achieved error non-increasing as tol shrinks, which
     the per-panel local-tolerance variant does not guarantee.
     """
@@ -107,8 +111,10 @@ def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:
     adaptive Simpson at the given absolute tolerance; integer regions sum the
     probability mass function exactly and warn when the last term still
     exceeds the tolerance (truncated tail).  Product regions use iterated
-    quadrature.
+    quadrature.  The tolerance must be finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"mass tolerance must be finite and > 0, got {tol!r}")
     if isinstance(region, Interval):
         return adaptive_simpson(_density_fn(mu, region), region.a, region.b, tol)
     if isinstance(region, IntegerRange):
