@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import measurekit as mk
-from measurekit import verify
 from measurekit.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -45,44 +44,63 @@ def test_cli_samples_a_huge_poisson_rate(tmp_path, capsys):
     assert len(out.splitlines()) == 50
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
-def test_mass_rejects_an_invalid_tolerance(tol):
+def _python(args):
+    """Run Python on ``args`` in a subprocess, so that a call that never
+    returns fails the test."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
+
+
+def test_mass_rejects_an_invalid_tolerance():
+    script = """
+import math, measurekit as mk
+from measurekit import verify
+for tol in (0.0, -1.0, math.nan, math.inf, -math.inf):
     for region in (verify.Interval(-1.0, 1.0), verify.IntegerRange(0, 5)):
-        with pytest.raises(ValueError, match="mass tolerance must be finite and > 0"):
+        try:
             verify.mass(mk.Normal(), region, tol)
+        except ValueError as exc:
+            assert str(exc).startswith("mass tolerance must be finite and > 0"), exc
+        else:
+            raise AssertionError(tol)
+"""
+    result = _python(["-c", script])
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_cli_check_rejects_an_invalid_tolerance(tmp_path, capsys, tol):
+def test_cli_check_rejects_an_invalid_tolerance(tmp_path, tol):
     path = tmp_path / "n.json"
     path.write_text(json.dumps({"Normal": {}}))
-    code, out, err = _run(capsys, ["check", "--expr", str(path), "--lo", "-1", "--hi", "1",
-                                   "--tol", tol])
-    assert code == 1 and out == ""
-    assert err.startswith("error: mass tolerance must be finite and > 0") and err.count("\n") == 1
+    result = _python(["-m", "measurekit", "check", "--expr", str(path), "--lo", "-1", "--hi", "1",
+                      "--tol", tol])
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("error: mass tolerance must be finite and > 0")
+    assert result.stderr.count("\n") == 1
 
 
 def test_mass_at_a_tiny_tolerance_ends():
-    # In a subprocess, so that a quadrature that never returns fails the test.
     script = ("import measurekit as mk; from measurekit import verify; "
               "print(verify.mass(mk.Normal(), verify.Interval(-1.0, 1.0), 1e-17))")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    result = _python(["-c", script])
     assert result.returncode == 0, result.stderr
     assert abs(float(result.stdout) - math.erf(1.0 / math.sqrt(2.0))) < 1e-14
 
 
 def test_quadrature_stops_at_its_panel_cap():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return 1.0 if x < 1.0 / 3.0 else 0.0
-
-    # A step off every panel edge: |S_2n - S_n| shrinks as 1/n, never to 1e-300.
-    assert abs(verify.adaptive_simpson(f, 0.0, 1.0, 1e-300) - 1.0 / 3.0) < 1e-5
-    # Panels 8, 16, ..., 2**20, each grid n + 1 points.
-    assert len(calls) == sum(n + 1 for n in (8 * 2**k for k in range(18)))
+    # A step off every panel edge: |S_2n - S_n| shrinks as 1/n, never to
+    # 1e-300.  Panels 8, 16, ..., 2**20, each grid n + 1 points.
+    script = """
+from measurekit import verify
+calls = []
+def f(x):
+    calls.append(x)
+    return 1.0 if x < 1.0 / 3.0 else 0.0
+assert abs(verify.adaptive_simpson(f, 0.0, 1.0, 1e-300) - 1.0 / 3.0) < 1e-5
+assert len(calls) == sum(n + 1 for n in (8 * 2**k for k in range(18))), len(calls)
+"""
+    result = _python(["-c", script])
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_sample_rejects_a_negative_count(tmp_path, capsys):
