@@ -126,12 +126,16 @@ class LogWeight:
         return self + (-as_log_weight(other))
 
     def exp(self) -> float:
-        """Linear-space weight; 0.0 for -inf, nan for undefined."""
+        """Linear-space weight; 0.0 for -inf, inf beyond the float range, nan
+        for undefined."""
         if not self.defined:
             return math.nan
         if self.value == -math.inf:
             return 0.0
-        return math.exp(self.value)
+        try:
+            return math.exp(self.value)
+        except OverflowError:
+            return math.inf
 
     # -- comparison ---------------------------------------------------------
 

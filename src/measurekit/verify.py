@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import astuple, dataclass
 from typing import Callable, Tuple
 
 from . import core, rng
 from .combinators import Product
-from .core import COUNTING, LEBESGUE, MeasureExpr, UndefinedDensityError
+from .core import COUNTING, LEBESGUE, MeasureError, MeasureExpr, UndefinedDensityError
 
 #: Bisections after the first 8 panels: at most 2**20 panels, so a call ends
 #: in bounded time at any tolerance.
@@ -70,7 +71,10 @@ def _density_fn(mu: MeasureExpr, region) -> Callable:
         value = core.log_density(mu, x, wrt=ref)
         if value.is_undefined:
             raise UndefinedDensityError(f"undefined density of {mu!r} at {x!r}")
-        return value.exp()
+        p = value.exp()
+        if p == math.inf:
+            raise MeasureError(f"infinite density of {mu!r} at {x!r}")
+        return p
 
     return dens
 
@@ -84,24 +88,53 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
     panels, whose estimate is returned.
     Nested grids make the achieved error non-increasing as tol shrinks, which
     the per-panel local-tolerance variant does not guarantee.
+
+    Each node is evaluated once: a grid keeps its values, as doubles, and
+    the next grid takes them as its even nodes (the same floats, since the
+    panel width halves exactly) and calls f only at the new midpoints, left
+    to right.  So f is called n + 1 times for a final grid of n panels, at
+    most 2**20 + 1 times (about 8 MB of values at the cap), first at a, b
+    and the first grid's interior, left to right.  (Where b - a is so small
+    that the panel widths are subnormal, halving rounds and no node is
+    shared: each grid is then evaluated whole, in that order.)
     """
-
-    def composite(n: int) -> float:
-        h = (b - a) / n
-        s = f(a) + f(b)
-        for i in range(1, n):
-            s += (4.0 if i % 2 else 2.0) * f(a + i * h)
-        return s * h / 3.0
-
     n = 8
-    prev = composite(n)
+    h = (b - a) / n
+    ys = _whole_grid(f, a, b, n)
+    prev = _simpson(ys, h)
     for _ in range(_MAX_DEPTH):
         n *= 2
-        cur = composite(n)
+        half = (b - a) / n
+        if half * 2.0 == h:  # the even nodes are the last grid's nodes
+            grid = array("d", [0.0]) * (n + 1)
+            grid[0::2] = ys
+            for i in range(1, n, 2):
+                grid[i] = f(a + i * half)
+        else:  # a width in the subnormals, where halving rounds: all move
+            grid = _whole_grid(f, a, b, n)
+        ys, h = grid, half
+        cur = _simpson(ys, h)
         if abs(cur - prev) / 15.0 <= tol:
             return cur
         prev = cur
     return cur
+
+
+def _whole_grid(f, a: float, b: float, n: int) -> array:
+    """f at the n + 1 nodes of n equal panels on [a, b], evaluated at a, at
+    b, then at the interior left to right."""
+    h = (b - a) / n
+    fa, fb = f(a), f(b)
+    return array("d", [fa, *(f(a + i * h) for i in range(1, n)), fb])
+
+
+def _simpson(ys, h: float) -> float:
+    """Composite Simpson sum of the node values ys, spaced h apart, added
+    left to right."""
+    s = ys[0] + ys[-1]
+    for i in range(1, len(ys) - 1):
+        s += (4.0 if i % 2 else 2.0) * ys[i]
+    return s * h / 3.0
 
 
 def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:
@@ -112,6 +145,12 @@ def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:
     probability mass function exactly and warn when the last term still
     exceeds the tolerance (truncated tail).  Product regions use iterated
     quadrature.  The tolerance must be finite and positive.
+
+    Raises UndefinedDensityError at the first node or term whose density is
+    undefined, and MeasureError, naming the point, at the first whose
+    density is infinite (its log-density +inf, or beyond the float range),
+    where no sum could converge.  Quadrature evaluates each node once, at
+    most 2**20 + 1 per interval (`adaptive_simpson`).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"mass tolerance must be finite and > 0, got {tol!r}")

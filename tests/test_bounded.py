@@ -1,6 +1,7 @@
 """Calls that must end, and end in a documented way: Poisson draws at rates
 near the top of the float range, quadrature at a tiny or invalid tolerance,
-and a negative sample count on the command line."""
+densities beyond the float range, and a negative sample count on the
+command line."""
 
 import json
 import math
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import measurekit as mk
+from measurekit import verify
 from measurekit.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -89,7 +91,7 @@ def test_mass_at_a_tiny_tolerance_ends():
 
 def test_quadrature_stops_at_its_panel_cap():
     # A step off every panel edge: |S_2n - S_n| shrinks as 1/n, never to
-    # 1e-300.  Panels 8, 16, ..., 2**20, each grid n + 1 points.
+    # 1e-300.  Panels 8, 16, ..., 2**20, each node evaluated once.
     script = """
 from measurekit import verify
 calls = []
@@ -97,7 +99,7 @@ def f(x):
     calls.append(x)
     return 1.0 if x < 1.0 / 3.0 else 0.0
 assert abs(verify.adaptive_simpson(f, 0.0, 1.0, 1e-300) - 1.0 / 3.0) < 1e-5
-assert len(calls) == sum(n + 1 for n in (8 * 2**k for k in range(18))), len(calls)
+assert len(calls) == 2**20 + 1, len(calls)
 """
     result = _python(["-c", script])
     assert result.returncode == 0, result.stderr
@@ -111,3 +113,39 @@ def test_cli_sample_rejects_a_negative_count(tmp_path, capsys):
     assert err == "error: -n must be >= 0, got -3\n"
     code, out, _ = _run(capsys, ["sample", "--expr", str(path), "-n", "0", "--seed", "1"])
     assert code == 0 and out == ""
+
+
+def test_a_density_beyond_the_float_range_is_infinite():
+    assert mk.LogWeight(800.0).exp() == math.inf
+    assert mk.LogWeight(math.inf).exp() == math.inf
+    heavy = mk.scale(800.0, mk.Normal())
+    assert mk.rn_derivative(heavy, mk.LEBESGUE, log=False)(0.5) == math.inf
+    assert mk.rn_derivative(heavy, mk.LEBESGUE)(0.5).value > 709.0
+
+
+@pytest.mark.parametrize("mu, region, at", [
+    (mk.scale(800.0, mk.Normal()), verify.Interval(-1.0, 1.0), "-1.0"),
+    (mk.scale(800.0, mk.Poisson(2.0)), verify.IntegerRange(3, 9), "3"),
+    # Finite at a = -2.0; b is evaluated next, before the interior.
+    (mk.superpose(mk.Normal(), mk.scale(750.0, mk.Exponential(1.0))),
+     verify.Interval(-2.0, 2.0), "2.0"),
+])
+def test_mass_names_the_first_point_of_infinite_density(mu, region, at):
+    with pytest.raises(mk.MeasureError) as info:
+        verify.mass(mu, region)
+    assert type(info.value) is mk.MeasureError
+    assert str(info.value) == f"infinite density of {mu!r} at {at}"
+
+
+@pytest.mark.parametrize("doc, lo, hi", [
+    ({"Scale": {"logw": 800.0, "of": {"Normal": {}}}}, "-1", "1"),
+    ({"Scale": {"logw": 800.0, "of": {"Poisson": {"rate": 2.0}}}}, "0", "5"),
+])
+def test_cli_check_of_an_infinite_density_is_one_error(tmp_path, doc, lo, hi):
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(doc))
+    result = _python(["-m", "measurekit", "check", "--expr", str(path), "--lo", lo, "--hi", hi])
+    assert result.returncode == 1 and result.stdout == "", result.stderr
+    assert result.stderr.startswith("error: infinite density of ")
+    assert result.stderr.endswith(f" at {lo}.0\n" if lo == "-1" else f" at {lo}\n")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
