@@ -8,11 +8,12 @@ data term is -inf, never an error.
 `FAMILIES` declares, once per family, the accepted parameter name sets, how
 document names map to fields, the family's checks, data term and base
 weight as source in the names of its parameters, the root its base ends at,
-and its draw from a stream (`Lanes` for a draw from a fixed number of
-uniforms).  `Family` compiles each declaration into the methods of the
-family's class and the functions a kernel over it calls.  Construction,
-kernels, the document format and the family's classes all read it.
-Construction dispatches on the names given and never converts between
+and its draw from a stream, or, as `Lanes`, from a fixed number of
+uniforms.  `Family` compiles each declaration into one source, the file
+``<family Name>``: the methods of the family's class, the functions a
+kernel over it calls, and its lane draws.  Construction, kernels, the
+document format and the family's classes all read it.  Construction
+dispatches on the names given and never converts between
 parameterizations.
 """
 
@@ -24,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
+from math import cos, log, sqrt  # for the lane draws' expressions
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import rng
@@ -75,8 +77,8 @@ class _Law(MeasureExpr):
     """A catalog family's measure: unit mass, on a base that ignores the point.
 
     Its fields are its family's parameters.  Its class's `__post_init__`,
-    `log_density_at`, `base_at`, `_sample_normalized` and ``_block``, the
-    loop an iid block sums, are compiled by its `Family`; a class whose
+    `log_density_at`, `base_at`, `_sample_normalized` and `_data_block`,
+    the loop an iid block sums, are compiled by its `Family`; a class whose
     family declares `Lanes` draws an iid block from the words of many
     streams at once.
     """
@@ -88,9 +90,6 @@ class _Law(MeasureExpr):
         # Replaced by the family's check; a dataclass calls `__post_init__`
         # only if the class has one when it is made.
         pass
-
-    def _data_block(self, xs) -> float:
-        return self._block(xs)
 
     def _sample_block(self, seed: int, n: int) -> list:
         family = self._family
@@ -236,39 +235,6 @@ def _negbinomial_arguments(maps: dict) -> tuple:
     return (calls(lambda x: tuple([(name, f(x)) for name, f in points])),)
 
 
-# A `Lanes` compiles these functions from its two expressions: {draw} is
-# ``place`` at z = ``noise``, in uniforms; {word_noise} and {word_draw} read
-# each uniform from its word; {target} unpacks a tuple of parameters.
-# ``block`` is ``placed(noise(...), repeat(params))`` in one pass: about 5%
-# more `iid-chain` draws per second than the two passes (`BENCH_16.json`).
-_LANE_SOURCE = """\
-def sample(stream{params}):
-{stream_units}
-    return {draw}
-
-def block({columns}{params}):
-    return [{word_draw} for {word_rows}]
-
-def noise({columns}):
-    return [{word_noise} for {word_rows}]
-
-def unit_noise({columns}):
-    return [{noise} for {unit_rows}]
-
-def placed(zs, ps):
-    return [{place} for z, {target} in zip(zs, ps)]
-
-def walk(zs, params, state):
-    for z in zs:
-        {target} = params(state)
-        state = {place}
-        yield state
-    return state
-"""
-_LANE_NAMES = {"sqrt": math.sqrt, "log": math.log, "cos": math.cos, "TWO_PI": _TWO_PI,
-               "S": 2.0 ** -53}
-
-
 def _compiled(source: str, filename: str, namespace: dict) -> dict:
     """``namespace`` with the definitions of ``source`` run in it, compiled
     as ``filename``, whose lines tracebacks and pdb then show (`linecache`)."""
@@ -278,45 +244,27 @@ def _compiled(source: str, filename: str, namespace: dict) -> dict:
 
 
 class Lanes:
-    """A draw from a fixed number of uniforms, written once and compiled into
-    the form each caller needs.
+    """A family's draw from a fixed number of uniforms, in the forms that
+    draw from many streams at once.
 
-    ``noise`` is the standard draw: an expression in the uniforms ``u1``,
-    ``u2``, ... of a stream that reads no parameter.  ``place`` is an
-    expression in that draw ``z`` and the ``params`` names: the draw at those
-    parameters.  ``sample(stream, *params)`` is their composition, drawn
+    The family declares it as ``draw``: ``noise``, the standard draw, an
+    expression in the uniforms ``u1``, ``u2``, ... of a stream that reads
+    no parameter, and ``place``, an expression in that draw ``z`` and the
+    fields, the draw at those parameters.  Its `Family` compiles them with
+    its other forms: ``sample(stream, *fields)`` is their composition, drawn
     from a stream's leading uniforms.  Over columns of the words of many
     streams (`rng.word_chunks`), uniform c being ``(w_c + 0.5) * 2**-53``,
-    each form is one comprehension per chunk: `block` draws an iid block at
-    fixed parameters, `noise` gives the standard draws, ``placed(zs, ps)``
-    puts standard draws at a sequence of parameter tuples, and
-    ``walk(zs, params, state)`` steps a chain whose parameters
+    each form here is one comprehension per chunk: `block` draws an iid
+    block at fixed parameters, `noise` gives the standard draws,
+    ``placed(zs, ps)`` puts standard draws at a sequence of parameter
+    tuples, and ``walk(zs, params, state)`` steps a chain whose parameters
     ``params(state)`` follow its state, yielding each element and returning
     the last.  Every form gives the bits of ``sample``.
     """
 
-    def __init__(self, noise: str, place: str, params: Sequence[str], name: str):
-        units = max(int(c) for c in re.findall(r"\bu(\d+)\b", noise))
-        us, ws, columns = ([f"{v}{c}" for c in range(1, units + 1)] for v in "uwc")
-
-        def rows(names):
-            if units == 1:
-                return f"{names[0]} in c1"
-            return f"{', '.join(names)} in zip({', '.join(columns)})"
-
-        def placing(z):
-            return re.sub(r"\bz\b", f"({z})", place)
-
-        word_noise = re.sub(r"\bu(\d+)\b", r"((w\1 + 0.5) * S)", noise)
-        source = _LANE_SOURCE.format(
-            params="".join(", " + p for p in params),
-            columns=", ".join(columns), stream_units="\n".join(f"    {u} = stream.unit()" for u in us),
-            draw=placing(noise), word_draw=placing(word_noise), noise=noise, word_noise=word_noise,
-            word_rows=rows(ws), unit_rows=rows(us),
-            place=place, target="(%s)" % "".join(p + ", " for p in params).rstrip(" "))
-        namespace = _compiled(source, f"<lanes of {name}>", dict(_LANE_NAMES))
-        self.units = units
-        self.sample, self.placed, self.walk = namespace["sample"], namespace["placed"], namespace["walk"]
+    def __init__(self, namespace: dict):
+        self.units = namespace["units"]
+        self.placed, self.walk = namespace["placed"], namespace["walk"]
         self._block, self._noise, self._unit_noise = (
             namespace["block"], namespace["noise"], namespace["unit_noise"])
 
@@ -344,20 +292,20 @@ class Lanes:
 
 
 # What a `Family` compiles, in a copy of the module's namespace, as the
-# file ``<family {name}>``: {body} is the data term, {self_body} the data
-# term reading the fields from ``self`` (`_on_self`), {summed} the data term
-# in a loop with each ``return`` made an addition to ``total``, and {reads}
-# reads the fields into locals.  ``law`` takes a kernel's maps of the fields
-# (`Map`: point form, column form, constant).  ``weight`` is None for a
-# family that declares none, and ``within`` for one that declares no
-# ``checks``.  `__post_init__` calls ``checked`` only when a field is no
-# float or out of range.
+# file ``<family {name}>``: {body} is the data term, {summed} the data term
+# in a loop with each ``return`` made an addition to ``total``, {reads}
+# reads the fields into locals, as every method does, and {target} is the
+# tuple of them.  ``law`` takes a kernel's maps of the fields (`Map`: point
+# form, column form, constant).  ``weight`` is None for a family that
+# declares none, and ``within`` for one that declares no ``checks``.
+# `__post_init__` calls ``checked`` only when a field is no float or out of
+# range.
 _MEMBER_SOURCE = """\
 def data(x{params}):
 {body}
 def log_density_at(self, x):
-{self_body}
-def _block(self, xs):
+{reads}{body}
+def _data_block(self, xs):
 {reads}    total = 0.0
     for x in xs:
 {summed}    return total
@@ -366,17 +314,14 @@ def columns(total, xs{params}):
     for {column_rows}:
 {summed}    return total
 
-def column(total, xs, rows):
-    return columns(total, xs, *zip(*rows)) if rows else total
-
 def args(self):
-    return {fields}
+{reads}    return {target}
 
 def _sample_normalized(self, seed):
-    return sample(rng.RandomStream(seed){self_params})
+{reads}    return sample(rng.RandomStream(seed){params})
 
 def base_at(self, x):
-    return {base}
+{base}
 
 def law(maps):
     {law_target} = maps
@@ -401,17 +346,37 @@ _POST_INIT_SOURCE = """
 def __post_init__(self):
 {reads}{guard}{indent}{target} = checked({args})
 {stores}"""
+# The forms of `Lanes`, for a family that declares ``draw``: {draw} is
+# ``place`` at z = ``noise``, in uniforms; {word_noise} and {word_draw} read
+# each uniform from its word.  ``block`` is ``placed(noise(...),
+# repeat(params))`` in one pass: about 5% more `iid-chain` draws per second
+# than the two passes (`BENCH_16.json`).
+_LANE_SOURCE = """
+units = {units}
 
+def sample(stream{params}):
+{stream_units}
+    return {draw}
 
-def _on_self(source: str, names: Sequence[str]) -> str:
-    """``source`` with each of the names read as a field of ``self``, except
-    in its comments and its strings (which hold no escaped quote), so a
-    point form reads each field where it uses it, as a method written by
-    hand would."""
-    if not names:
-        return source
-    pattern = r"(\"[^\"\n]*\"|'[^'\n]*'|#.*)|(?<![\w.])(%s)\b" % "|".join(names)
-    return re.sub(pattern, lambda m: m.group(1) or "self." + m.group(2), source)
+def block({columns}{params}):
+    return [{word_draw} for {word_rows}]
+
+def noise({columns}):
+    return [{word_noise} for {word_rows}]
+
+def unit_noise({columns}):
+    return [{noise} for {unit_rows}]
+
+def placed(zs, ps):
+    return [{place} for z, {target} in zip(zs, ps)]
+
+def walk(zs, params, state):
+    for z in zs:
+        {target} = params(state)
+        state = {place}
+        yield state
+    return state
+"""
 
 
 def _member_source(family: "Family", names: Sequence[str]) -> str:
@@ -422,16 +387,13 @@ def _member_source(family: "Family", names: Sequence[str]) -> str:
     data = "".join(line[margin:] + "\n" for line in lines)
     summed = re.sub(r"(?m)^( *)return (.*)$", r"\1total += \2\n\1continue", data)
     summed = re.sub(r"\ncontinue\n$", "\n", summed)  # none after the last line
-    body = re.sub(r"(?m)^(?=.)", "    ", data)
+    reads = "".join(f"    {f} = self.{f}\n" for f in names)
     slots = dict(
         params="".join(", " + f for f in names), args=", ".join(names),
-        target="(%s)" % "".join(f + ", " for f in names).rstrip(" "),
-        fields="(%s)" % "".join(f"self.{f}, " for f in names).rstrip(" "),
-        self_params="".join(", self." + f for f in names),
-        reads="".join(f"    {f} = self.{f}\n" for f in names),
-        body=body, self_body=_on_self(body, names),
+        target="(%s)" % "".join(f + ", " for f in names).rstrip(" "), reads=reads,
+        body=re.sub(r"(?m)^(?=.)", "    ", data),
         summed=re.sub(r"(?m)^(?=.)", "        ", summed), weight=weight,
-        base="root" if weight is None else f"Weighted({_on_self(weight, names)}, root)",
+        base="    return root" if weight is None else f"{reads}    return Weighted({weight}, root)",
         law_target="(%s)" % "".join(f"(f_{f}, c_{f}, k_{f}), " for f in names).rstrip(" "),
         law_points=", ".join(f"f_{f}(x)" for f in names),
         column_rows="x, %s in zip(xs, %s)" % (", ".join(names), ", ".join(names))
@@ -457,6 +419,19 @@ def _member_source(family: "Family", names: Sequence[str]) -> str:
         indent = "    " if checks is None else "        "
         slots.update(guard=guard, indent=indent, stores="".join(
             f"{indent}object.__setattr__(self, {f!r}, {f})\n" for f in names))
+    if family.draw is not None:
+        source += _LANE_SOURCE
+        noise, place = family.draw
+        units = max(int(c) for c in re.findall(r"\bu(\d+)\b", noise))
+        us, ws, cs = ([f"{v}{c}" for c in range(1, units + 1)] for v in "uwc")
+        chunk = "c1" if units == 1 else f"zip({', '.join(cs)})"
+        word_noise = re.sub(r"\bu(\d+)\b", r"((w\1 + 0.5) * 2.0 ** -53)", noise)
+        slots.update(
+            units=units, columns=", ".join(cs), place=place, noise=noise, word_noise=word_noise,
+            stream_units="\n".join(f"    {u} = stream.unit()" for u in us),
+            draw=re.sub(r"\bz\b", f"({noise})", place),
+            word_draw=re.sub(r"\bz\b", f"({word_noise})", place),
+            word_rows=f"{', '.join(ws)} in {chunk}", unit_rows=f"{', '.join(us)} in {chunk}")
     return source.format(**slots)
 
 
@@ -476,15 +451,15 @@ class Family:
     function ``checked`` instead of ``checks``.  Dirac declares none of
     them: its root is the member itself.
 
-    `Family` compiles that source (`_MEMBER_SOURCE`) into the class's
-    `__post_init__`, `log_density_at`, `base_at`, `_sample_normalized` and
-    ``_block(xs)``, the sum over an iid block (`_Law._data_block`); into
+    `Family` compiles that source once, as the file ``<family Name>``
+    (`_MEMBER_SOURCE`), into the class's `__post_init__`,
+    `log_density_at`, `base_at`, `_sample_normalized` and `_data_block`,
+    the sum over an iid block, each reading the fields into locals; into
     the functions of the checked fields that a kernel over the family calls
     with no member built: ``checked``, ``data``, ``weight`` and
     ``columns(total, xs, *fields)``, total plus the terms at a column of
-    points, with one column per field (``column(total, xs, rows)`` takes
-    a row of fields per point); into the kernel's `Law` (`law`), whose
-    weight is fixed when the maps of the fields ``weight`` names are
+    points, with one column per field; into the kernel's `Law` (`law`),
+    whose weight is fixed when the maps of the fields ``weight`` names are
     constant and whose column form screens whole columns with ``within``,
     the conjunction of the checks (`_columns`); and into ``args(m)``, a
     member's fields.
@@ -492,11 +467,12 @@ class Family:
     A member draws with ``sample(stream, *fields)``, as does a kernel over
     the family.  A family whose draw takes a fixed number of uniforms
     declares instead ``draw``, a pair of expressions: its standard draw in
-    the uniforms and the placement of that draw ``z`` at the fields
-    (`Lanes`, found as ``lanes``; ``sample`` is its draw from a stream).
-    Its iid blocks, the factors of a product of its members, and the steps
-    of a chain over a kernel of it then draw the words of many streams at
-    once and turn each chunk into draws in one comprehension.
+    the uniforms and the placement of that draw ``z`` at the fields.  The
+    same source then holds ``sample``, its draw from a stream, and the
+    forms of its `Lanes`, found as ``lanes``: its iid blocks, the factors
+    of a product of its members, and the steps of a chain over a kernel of
+    it draw the words of many streams at once and turn each chunk into
+    draws in one comprehension.
 
     ``build`` makes the measure from keyword parameters named as in one of
     the parameterizations, and ``params`` reads them back from a measure, in
@@ -518,13 +494,10 @@ class Family:
     arguments: Optional[Callable[[dict], tuple]] = None
     draw: Optional[Tuple[str, str]] = None
     sample: Optional[Callable[..., Any]] = None
+    lanes = None  # not a field: its `Lanes`, for a family that declares ``draw``
 
     def __post_init__(self):
         cls, names = self.cls, [f.name for f in fields(self.cls)]
-        lanes = None if self.draw is None else Lanes(*self.draw, names, cls.__name__)
-        object.__setattr__(self, "lanes", lanes)
-        if lanes is not None:
-            object.__setattr__(self, "sample", lanes.sample)
         if self.data is not None:
             # Per field, whether its check passes every finite float: an
             # interval that holds both extremes holds all between them.
@@ -534,11 +507,13 @@ class Family:
             namespace = _compiled(_member_source(self, names), f"<family {cls.__name__}>",
                                   dict(globals(), root=self.root, sample=self.sample,
                                        checked=self.checked, family=self, wide=wide))
+            if self.draw is not None:
+                object.__setattr__(self, "lanes", Lanes(namespace))
             object.__setattr__(self, "_law", namespace["law"])
-            for name in ("checked", "data", "weight", "args", "column", "columns"):
+            for name in ("checked", "data", "weight", "args", "columns", "sample"):
                 object.__setattr__(self, name, namespace[name])
             for name in ("__post_init__", "log_density_at", "base_at", "_sample_normalized",
-                         "_block"):
+                         "_data_block"):
                 if name in namespace:
                     setattr(cls, name, namespace[name])
             cls._family = self
@@ -745,7 +720,7 @@ FAMILIES = {
                 return -0.5 * z * z
             """,
             weight="-math.log(sigma) - _HALF_LOG_TWO_PI", root=LEBESGUE,
-            draw=("sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2)",  # Box-Muller
+            draw=("sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2)",  # Box-Muller
                   "mu + sigma * z"),
         ),
         Family(

@@ -351,10 +351,24 @@ class Product(_FixedProduct):
 
 def _coordinatewise(sources, targets, x) -> float:
     """Sum of `_log_density` of each coordinate against its target, left to
-    right from 0.0; zip's shortest argument sets the number of coordinates."""
+    right from 0.0; zip's shortest argument sets the number of coordinates.
+    Undefined wins over unrelated, as in the local rule: where a coordinate's
+    measures are unrelated, the rest are added too, and the density is
+    undefined (NaN) if that sum is, else the coordinate's error is raised."""
     total = 0.0
-    for source, target, xi in zip(sources, targets, x):
-        total += _log_density(source, xi, target)
+    coordinates = zip(sources, targets, x)
+    for source, target, xi in coordinates:
+        try:
+            total += _log_density(source, xi, target)
+        except core.UnrelatedPrimitivesError:
+            for source, target, xi in coordinates:
+                try:
+                    total += _log_density(source, xi, target)
+                except core.MeasureError:
+                    pass
+            if math.isnan(total):
+                return math.nan
+            raise
     return total
 
 

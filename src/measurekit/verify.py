@@ -130,11 +130,19 @@ def _whole_grid(f, a: float, b: float, n: int) -> array:
 
 def _simpson(ys, h: float) -> float:
     """Composite Simpson sum of the node values ys, spaced h apart, added
-    left to right."""
+    left to right.  Where that overflows, though the terms may not, each
+    value is scaled by h / 3 before it is weighted and added."""
+    total = _weighted_sum(ys) * h / 3.0
+    return total if -math.inf < total < math.inf else _weighted_sum([y * (h / 3.0) for y in ys])
+
+
+def _weighted_sum(ys) -> float:
+    """The sum of ys, left to right, each times its Simpson weight: 1, 4, 2,
+    4, ..., 2, 4, 1."""
     s = ys[0] + ys[-1]
     for i in range(1, len(ys) - 1):
         s += (4.0 if i % 2 else 2.0) * ys[i]
-    return s * h / 3.0
+    return s
 
 
 def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:

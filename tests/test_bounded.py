@@ -149,3 +149,17 @@ def test_cli_check_of_an_infinite_density_is_one_error(tmp_path, doc, lo, hi):
     assert result.stderr.startswith("error: infinite density of ")
     assert result.stderr.endswith(f" at {lo}.0\n" if lo == "-1" else f" at {lo}\n")
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("logw, tol, mass", [(700.0, "1e290", "6.92405566356e+303"),
+                                             (708.0, "1e295", "2.0640319033e+307")])
+def test_cli_check_of_a_heavy_finite_density_ends(tmp_path, logw, tol, mass):
+    # Finite at every node, with a Simpson sum at or beyond the float range:
+    # the tolerance is met at the first refinements, the mass
+    # e^logw erf(1/sqrt 2).
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"Scale": {"logw": logw, "of": {"Normal": {}}}}))
+    result = _python(["-m", "measurekit", "check", "--expr", str(path), "--lo", "-1", "--hi", "1",
+                      "--tol", tol])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"mass {mass} FAIL\n"

@@ -190,7 +190,7 @@ BLOCK = [0, 1, 2, 3, 0.5, 1.0, 2.5, -1, -0.25, 1500, 10**400, -(10**400), math.i
 
 @pytest.mark.parametrize("m", BLOCK_MEMBERS, ids=repr)
 def test_family_blocks_sum_in_one_pass(m):
-    assert type(m)._data_block is catalog._Law._data_block
+    assert type(m)._data_block.__code__.co_filename == f"<family {type(m).__name__}>"
     for xs in (BLOCK, BLOCK[::-1], BLOCK[:1], [], [3] * 1000):
         want = MeasureExpr._data_block(m, xs)
         assert struct.pack("<d", m._data_block(xs)) == struct.pack("<d", want), xs

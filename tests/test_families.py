@@ -3,9 +3,12 @@ its declaration gives the bits of a closed-form reference written here, and
 no family class writes those forms by hand."""
 
 import math
+import os
 import struct
+import subprocess
 import sys
 import traceback
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +121,7 @@ def test_each_form_gives_the_reference_bits(name, params, term, weight, root):
     assert len(xs) > _COLUMNS_MIN
     assert bits(mk.chain(kernel, m).log_density_at(tuple(xs))) == bits(want)
     family = catalog.FAMILIES[name]
-    assert bits(family.column(0.0, xs, [family.args(m)] * len(xs))) == bits(want)
+    assert bits(family.columns(0.0, xs, *zip(*[family.args(m)] * len(xs)))) == bits(want)
 
 
 @pytest.mark.parametrize("name, params, term, weight, root", CASES, ids=IDS)
@@ -142,8 +145,7 @@ def test_a_member_draws_as_its_family_does(name, params, term, weight, root):
         assert type(got) is type(family.sample(RandomStream(seed), *family.args(m)))
 
 
-COMPILED = ("__post_init__", "log_density_at", "base_at", "_sample_normalized", "_block",
-            "_data_block")
+COMPILED = ("__post_init__", "log_density_at", "base_at", "_sample_normalized", "_data_block")
 
 
 @pytest.mark.parametrize("name", sorted(n for n, f in catalog.FAMILIES.items() if f.data))
@@ -154,7 +156,33 @@ def test_no_family_class_writes_a_compiled_method(name):
         if fn is not None:
             assert fn.__code__.co_filename == f"<family {name}>", method
     assert "log_density_at" in vars(cls) and "base_at" in vars(cls)
-    assert cls._data_block is catalog._Law._data_block
+    assert cls._data_block.__code__.co_filename == f"<family {name}>"
+
+
+def test_each_family_compiles_one_source():
+    # In a fresh interpreter: the cache after the import and nothing else.
+    script = """
+import linecache, measurekit
+names = [name for name in linecache.cache if name.startswith(("<family ", "<lanes "))]
+print("\\n".join(sorted(names)))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    compiled = result.stdout.splitlines()
+    assert compiled == sorted(f"<family {n}>" for n, f in catalog.FAMILIES.items() if f.data)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.FAMILIES))
+def test_no_form_without_a_caller(name):
+    family = catalog.FAMILIES[name]
+    assert not hasattr(family.cls, "_block") and not hasattr(catalog._Law, "_block")
+    assert not hasattr(family, "column")
+    if family.lanes is not None:
+        lanes = vars(family.lanes).values()
+        assert all(f.__code__.co_filename == f"<family {name}>" for f in lanes if callable(f))
+        assert family.sample.__code__.co_filename == f"<family {name}>"
 
 
 def test_a_traceback_shows_the_compiled_lines():
@@ -163,12 +191,11 @@ def test_a_traceback_shows_the_compiled_lines():
     except TypeError:
         text = "".join(traceback.format_exception(*sys.exc_info()))
     assert 'File "<family Exponential>"' in text
-    assert "return -self.rate * x if x >= 0.0 else -math.inf" in text
+    assert "return -rate * x if x >= 0.0 else -math.inf" in text
     walk = mk.chain(mk.make_kernel("Normal", mu="identity", sigma="const:-1.0"), mk.Normal())
     try:
         list(zip(range(2), mk.sample_chain(walk, 3)))
     except ValueError:
         text = "".join(traceback.format_exception(*sys.exc_info()))
-    assert 'File "<lanes of Normal>"' in text and "(mu, sigma,) = params(state)" in text
-    assert 'File "<family Normal>"' in text
+    assert 'File "<family Normal>"' in text and "(mu, sigma,) = params(state)" in text
     assert 'raise ValueError(f"Normal requires finite sigma > 0, got {sigma}")' in text

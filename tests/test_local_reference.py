@@ -342,6 +342,28 @@ def test_generated_plane_sums_are_antisymmetric_and_transitive(mu, nu, rho, x):
     _check_transitive(mu, nu, rho, x)
 
 
+class TestUndefinedWinsAcrossCoordinates:
+    # Coordinate 0 alone is unrelated (an atom against a density); the other
+    # is undefined: both sides vanish there.  The order of the coordinates,
+    # and of the two measures, must not decide.
+    @pytest.mark.parametrize("mu, nu, x", [
+        (mk.product(mk.Poisson(3.0), mk.Poisson(3.0)),
+         mk.product(mk.Exponential(1.0), mk.Poisson(2.0)), (0, 0.5)),
+        (mk.product(mk.Poisson(3.0), mk.Poisson(3.0)),
+         mk.product(mk.Poisson(2.0), mk.Exponential(1.0)), (0.5, 0)),
+    ])
+    def test_an_undefined_coordinate_wins_over_an_unrelated_one(self, mu, nu, x):
+        assert log_density(mu, x, wrt=nu).is_undefined
+        assert log_density(nu, x, wrt=mu).is_undefined
+
+    def test_unrelated_coordinates_still_raise(self):
+        mu = mk.product(mk.Poisson(3.0), mk.Poisson(3.0))
+        nu = mk.product(mk.Exponential(1.0), mk.Poisson(2.0))
+        for a, b in ((mu, nu), (nu, mu)):
+            with pytest.raises(UnrelatedPrimitivesError, match="unrelated measures at 0:"):
+                log_density(a, (0, 1), wrt=b)
+
+
 def test_parts_of_another_class_take_no_walk():
     # Only the atom's weight is read: the slab's chain ends at Lebesgue measure.
     spike = mk.superpose(mk.scale(HALF, Dirac(0.0)), mk.scale(HALF, mk.Normal()))

@@ -179,3 +179,20 @@ def test_mass_matches_the_reference(k, monkeypatch):
     assert _bits(got) == _bits(verify.mass(mu, region, tol))
     if k == 4:  # the 2-D ProductRegion: each inner quadrature's nodes once
         assert len(set(calls[:new])) == new and 2 * new < len(calls) - new
+
+
+def test_a_sum_that_overflows_is_scaled_term_by_term():
+    # 4 * 1e307 passes the float range, though the integral is 1e307: the
+    # unscaled sum overflows at the first grid, the scaled one never does.
+    calls = Recorded(lambda x: 1e307)
+    got = verify.adaptive_simpson(calls, 0.0, 1.0, 1e295)
+    assert got == 9.999999999999999e306
+    assert len(calls.calls) == 17  # 8 panels, then 16: each node once
+
+
+@pytest.mark.parametrize("logw, tol", [(700.0, 1e290), (708.0, 1e295)])
+def test_the_mass_of_a_heavy_density_is_finite(logw, tol):
+    # At 708 the unscaled sum of the first grid passes the float range.
+    got = verify.mass(mk.scale(logw, mk.Normal()), Interval(-1.0, 1.0), tol=tol)
+    want = math.exp(logw) * math.erf(1.0 / math.sqrt(2.0))
+    assert math.isfinite(got) and abs(got - want) <= 1e-9 * want
