@@ -77,8 +77,9 @@ class _Law(MeasureExpr):
     """A catalog family's measure: unit mass, on a base that ignores the point.
 
     Its fields are its family's parameters.  Its class's `__post_init__`,
-    `log_density_at`, `base_at`, `_sample_normalized` and `_data_block`,
-    the loop an iid block sums, are compiled by its `Family`; a class whose
+    `log_density_at`, `base_at`, `_sample_normalized`, `_data_block`, the
+    loop an iid block sums, and `_data_column`, the data terms at a column
+    of points, are compiled by its `Family`; a class whose
     family declares `Lanes` draws an iid block from the words of many
     streams at once.
     """
@@ -292,14 +293,14 @@ class Lanes:
 
 
 # What a `Family` compiles, in a copy of the module's namespace, as the
-# file ``<family {name}>``: {body} is the data term, {summed} the data term
-# in a loop with each ``return`` made an addition to ``total``, {reads}
-# reads the fields into locals, as every method does, and {target} is the
-# tuple of them.  ``law`` takes a kernel's maps of the fields (`Map`: point
-# form, column form, constant).  ``weight`` is None for a family that
-# declares none, and ``within`` for one that declares no ``checks``.
-# `__post_init__` calls ``checked`` only when a field is no float or out of
-# range.
+# file ``<family {name}>``: {body} is the data term, {summed} and
+# {appended} the data term in a loop with each ``return`` made an addition
+# to ``total`` or an ``append`` to the column, {reads} reads the fields
+# into locals, as every method does, and {target} is the tuple of them.
+# ``law`` takes a kernel's maps of the fields (`Map`: point form, column
+# form, constant).  ``weight`` is None for a family that declares none, and
+# ``within`` for one that declares no ``checks``.  `__post_init__` calls
+# ``checked`` only when a field is no float or out of range.
 _MEMBER_SOURCE = """\
 def data(x{params}):
 {body}
@@ -309,6 +310,12 @@ def _data_block(self, xs):
 {reads}    total = 0.0
     for x in xs:
 {summed}    return total
+
+def _data_column(self, xs):
+{reads}    out = []
+    append = out.append
+    for x in xs:
+{appended}    return out
 
 def columns(total, xs{params}):
     for {column_rows}:
@@ -385,14 +392,19 @@ def _member_source(family: "Family", names: Sequence[str]) -> str:
     lines = [line for line in family.data.splitlines() if line.strip()]
     margin = min(len(line) - len(line.lstrip()) for line in lines)
     data = "".join(line[margin:] + "\n" for line in lines)
-    summed = re.sub(r"(?m)^( *)return (.*)$", r"\1total += \2\n\1continue", data)
-    summed = re.sub(r"\ncontinue\n$", "\n", summed)  # none after the last line
+    # The data term as the body of a loop over x: each ``return`` made a
+    # step, added to ``total`` or appended, then ``continue``, except on the
+    # last line.
+    loops = {}
+    for slot, step in (("summed", r"total += \2"), ("appended", r"append(\2)")):
+        looped = re.sub(r"(?m)^( *)return (.*)$", rf"\1{step}\n\1continue", data)
+        loops[slot] = re.sub(r"(?m)^(?=.)", "        ", re.sub(r"\ncontinue\n$", "\n", looped))
     reads = "".join(f"    {f} = self.{f}\n" for f in names)
     slots = dict(
         params="".join(", " + f for f in names), args=", ".join(names),
         target="(%s)" % "".join(f + ", " for f in names).rstrip(" "), reads=reads,
         body=re.sub(r"(?m)^(?=.)", "    ", data),
-        summed=re.sub(r"(?m)^(?=.)", "        ", summed), weight=weight,
+        **loops, weight=weight,
         base="    return root" if weight is None else f"{reads}    return Weighted({weight}, root)",
         law_target="(%s)" % "".join(f"(f_{f}, c_{f}, k_{f}), " for f in names).rstrip(" "),
         law_points=", ".join(f"f_{f}(x)" for f in names),
@@ -453,8 +465,9 @@ class Family:
 
     `Family` compiles that source once, as the file ``<family Name>``
     (`_MEMBER_SOURCE`), into the class's `__post_init__`,
-    `log_density_at`, `base_at`, `_sample_normalized` and `_data_block`,
-    the sum over an iid block, each reading the fields into locals; into
+    `log_density_at`, `base_at`, `_sample_normalized`, `_data_block`, the
+    sum over an iid block, and `_data_column`, the data terms at a column
+    of points, each reading the fields into locals; into
     the functions of the checked fields that a kernel over the family calls
     with no member built: ``checked``, ``data``, ``weight`` and
     ``columns(total, xs, *fields)``, total plus the terms at a column of
@@ -513,7 +526,7 @@ class Family:
             for name in ("checked", "data", "weight", "args", "columns", "sample"):
                 object.__setattr__(self, name, namespace[name])
             for name in ("__post_init__", "log_density_at", "base_at", "_sample_normalized",
-                         "_data_block"):
+                         "_data_block", "_data_column"):
                 if name in namespace:
                     setattr(cls, name, namespace[name])
             cls._family = self

@@ -28,6 +28,7 @@ primitive measures, undefined density).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -380,7 +381,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at first use and then shared: each
+    `parse_args` fills a new namespace and leaves the parser as it was."""
     parser = _Parser(prog="measurekit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

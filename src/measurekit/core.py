@@ -28,6 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import reduce
+from operator import add as _add
 from typing import Any, NamedTuple, Optional, Tuple
 
 from . import rng
@@ -328,6 +329,11 @@ class MeasureExpr:
             total += data(x)
         return total
 
+    def _data_column(self, xs) -> list:
+        """`log_density_at` at each point of a sequence, in its order."""
+        data = self.log_density_at
+        return [data(x) for x in xs]
+
     def _sample_block(self, seed: int, n: int) -> list:
         """Draws for coordinates 0..n-1, coordinate i from `derive_key(seed, i)`."""
         return [self._sample_normalized(rng.derive_key(seed, i)) for i in range(n)]
@@ -483,6 +489,11 @@ class Weighted(MeasureExpr):
     def log_density_at(self, x) -> float:
         _count_weight_evaluation()
         return self.logweight
+
+    def _data_column(self, xs) -> list:
+        global _weight_evaluations
+        _weight_evaluations += len(xs)  # one evaluation per point, as `log_density_at` counts
+        return [self.logweight] * len(xs)
 
     def base_at(self, x) -> MeasureExpr:
         return self.base
@@ -753,6 +764,50 @@ def _replay(plan, mu, x) -> float:
     if end is None:
         return (meet - den) + 0.0
     return (num - den) + end(mu if a is None else a, mu if b is None else b, x)
+
+
+def _log_density_column(m: MeasureExpr, wrt: MeasureExpr, xs) -> Optional[list]:
+    """`_log_density(m, x, wrt)` at each point of a sequence xs, by m's kept
+    walk plan against ``wrt`` replayed over the whole column: None where m
+    keeps no plan for ``wrt``, or its plan ends in a rule.
+
+    Every point passes m's check, then wrt's unless the plan says m's
+    implies it; then each node of the plan gives its data terms as one
+    column (`_data_column`), and the columns are combined per point in the
+    plan's order with `_replay`'s arithmetic and NaN exits, so each value
+    has its bits.  A column evaluates every node at every point, also past
+    the point's NaN exit and past an error at an earlier point: a caller
+    that needs the errors and the side effects of the points in turn (the
+    weight counter) evaluates them again by `_log_density`.
+    """
+    for target, plan in m._plans:
+        if target is wrt:
+            break
+    else:
+        return None
+    if plan is None or plan[3] is not None:
+        return None
+    head, tail, targets, _, _, _, same = plan
+    check = m.check_point
+    for x in xs:
+        check(x)
+    if not same:
+        check = wrt.check_point
+        for x in xs:
+            check(x)
+    num = [0.0] * len(xs)
+    for node in head:
+        num = list(map(_add, num, (m if node is None else node)._data_column(xs)))
+    meet = num  # the source sums on reaching the meeting node
+    for node in tail:
+        num = list(map(_add, num, (m if node is None else node)._data_column(xs)))
+    den = [0.0] * len(xs)
+    for node in targets:
+        den = list(map(_add, den, node._data_column(xs)))
+    # A den that reached -inf at some step ends at -inf or NaN, and a NaN
+    # den gives a NaN value.
+    return [s if s != s else math.nan if s == -math.inf and d == -math.inf
+            else (e - d) + 0.0 for s, e, d in zip(num, meet, den)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,17 @@ from typing import Callable, Tuple
 
 from . import core, rng
 from .combinators import Product
-from .core import COUNTING, LEBESGUE, MeasureError, MeasureExpr, UndefinedDensityError
+from .core import (_TOO_DEEP, COUNTING, LEBESGUE, DepthError, MeasureError, MeasureExpr,
+                   UndefinedDensityError)
 
 #: Bisections after the first 8 panels: at most 2**20 panels, so a call ends
 #: in bounded time at any tolerance.
 _MAX_DEPTH = 17
+
+#: Most points in one column of density values: a grid's new nodes or an
+#: integer range beyond it are evaluated a column at a time, so the lists a
+#: column builds stay small at the panel cap.
+_COLUMN = 4096
 
 
 @dataclass(frozen=True)
@@ -64,19 +70,59 @@ def _reference(region) -> MeasureExpr:
     raise TypeError(f"not a region: {region!r}")
 
 
-def _density_fn(mu: MeasureExpr, region) -> Callable:
+def _density_fn(mu: MeasureExpr, region) -> Tuple[Callable, Callable]:
+    """The density of mu against the region's reference measure, as a
+    function of a point and as a function of a list of points (a column),
+    which gives the values the first gives at each, in order, and raises
+    the first one's first error."""
     ref = _reference(region)
 
     def dens(x):
-        value = core.log_density(mu, x, wrt=ref)
-        if value.is_undefined:
+        try:
+            value = core._log_density(mu, x, ref)
+        except RecursionError:
+            raise DepthError(_TOO_DEEP) from None
+        if value != value:
             raise UndefinedDensityError(f"undefined density of {mu!r} at {x!r}")
-        p = value.exp()
+        try:
+            p = math.exp(value)
+        except OverflowError:
+            p = math.inf
         if p == math.inf:
             raise MeasureError(f"infinite density of {mu!r} at {x!r}")
         return p
 
-    return dens
+    def replayed(xs):
+        """The column by mu's kept plan (`core._log_density_column`); None
+        where mu keeps none, and where a value is undefined or infinite or
+        an error is raised, after which the weight counter reads as before."""
+        count = core.weight_evaluations()
+        try:
+            values = core._log_density_column(mu, ref, xs)
+            if values is None:
+                return None
+            # A sum below +inf holds no NaN and no +inf; a finite value too
+            # large for exp raises OverflowError there.
+            if sum(values) < math.inf:
+                return list(map(math.exp, values))  # OverflowError beyond the float range
+        except Exception:
+            pass
+        core._weight_evaluations = count  # the points are evaluated again, in turn
+        return None
+
+    def column(xs: list) -> list:
+        if not mu.static_base:  # the walk depends on the point: no plan to replay
+            return [dens(x) for x in xs]
+        values = replayed(xs)
+        if values is not None:
+            return values
+        # A pair keeps its plan at its second call: two points in turn, then
+        # the rest by the plan if it is kept.
+        done = [dens(x) for x in xs[:2]]
+        values = replayed(xs[2:]) if len(xs) > 2 else None
+        return done + ([dens(x) for x in xs[2:]] if values is None else values)
+
+    return dens, column
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -97,10 +143,21 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
     and the first grid's interior, left to right.  (Where b - a is so small
     that the panel widths are subnormal, halving rounds and no node is
     shared: each grid is then evaluated whole, in that order.)
+
+    `mass` runs the same quadrature with f applied to a column of nodes at
+    a time, those a grid adds, which gives the same values in the same
+    order.
     """
+    return _quadrature(lambda xs: [f(x) for x in xs], a, b, tol)
+
+
+def _quadrature(column: Callable[[list], list], a: float, b: float, tol: float) -> float:
+    """`adaptive_simpson` with the integrand's values at a list of nodes
+    given by ``column``, called on the nodes each grid adds, in the order
+    f would be called, at most `_COLUMN` nodes at a time."""
     n = 8
     h = (b - a) / n
-    ys = _whole_grid(f, a, b, n)
+    ys = _whole_grid(column, a, b, n)
     prev = _simpson(ys, h)
     for _ in range(_MAX_DEPTH):
         n *= 2
@@ -108,10 +165,11 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
         if half * 2.0 == h:  # the even nodes are the last grid's nodes
             grid = array("d", [0.0]) * (n + 1)
             grid[0::2] = ys
-            for i in range(1, n, 2):
-                grid[i] = f(a + i * half)
+            for lo in range(1, n, 2 * _COLUMN):
+                hi = min(lo + 2 * _COLUMN, n)
+                grid[lo:hi:2] = array("d", column([a + i * half for i in range(lo, hi, 2)]))
         else:  # a width in the subnormals, where halving rounds: all move
-            grid = _whole_grid(f, a, b, n)
+            grid = _whole_grid(column, a, b, n)
         ys, h = grid, half
         cur = _simpson(ys, h)
         if abs(cur - prev) / 15.0 <= tol:
@@ -120,12 +178,15 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
     return cur
 
 
-def _whole_grid(f, a: float, b: float, n: int) -> array:
-    """f at the n + 1 nodes of n equal panels on [a, b], evaluated at a, at
-    b, then at the interior left to right."""
+def _whole_grid(column, a: float, b: float, n: int) -> array:
+    """The integrand at the n + 1 nodes of n equal panels on [a, b],
+    evaluated at a, at b, then at the interior left to right."""
     h = (b - a) / n
-    fa, fb = f(a), f(b)
-    return array("d", [fa, *(f(a + i * h) for i in range(1, n)), fb])
+    nodes = [a, b, *(a + i * h for i in range(1, n))]
+    values = array("d")
+    for lo in range(0, n + 1, _COLUMN):
+        values.extend(column(nodes[lo:lo + _COLUMN]))
+    return values[:1] + values[2:] + values[1:2]
 
 
 def _simpson(ys, h: float) -> float:
@@ -159,18 +220,31 @@ def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:
     density is infinite (its log-density +inf, or beyond the float range),
     where no sum could converge.  Quadrature evaluates each node once, at
     most 2**20 + 1 per interval (`adaptive_simpson`).
+
+    The nodes a grid adds, and the terms of an integer range, are evaluated
+    as a column of up to `_COLUMN` points: where mu keeps a walk plan
+    against the reference that ends where the two chains meet, its data
+    terms are evaluated node by node over the whole column
+    (`core._log_density_column`), else point by point, as for a measure
+    whose base depends on the point, a plan that ends in a rule (sums,
+    pushforwards, Diracs) and a measure's first two points, at the second
+    of which it keeps its plan.  Either way each value has the bits of the
+    point's own `log_density`; a column in which a density is undefined or
+    infinite, or an error is raised, is evaluated again point by point, so
+    the error is the first point's.  Product regions are evaluated point by
+    point.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"mass tolerance must be finite and > 0, got {tol!r}")
     if isinstance(region, Interval):
-        return adaptive_simpson(_density_fn(mu, region), region.a, region.b, tol)
+        return _quadrature(_density_fn(mu, region)[1], region.a, region.b, tol)
     if isinstance(region, IntegerRange):
-        dens = _density_fn(mu, region)
+        column = _density_fn(mu, region)[1]
         total = 0.0
         last = 0.0
-        for k in range(region.lo, region.hi + 1):
-            last = dens(k)
-            total += last
+        for lo in range(region.lo, region.hi + 1, _COLUMN):
+            for last in column(list(range(lo, min(lo + _COLUMN, region.hi + 1)))):
+                total += last
         if last > tol:
             warnings.warn(
                 f"mass sum truncated: pmf at {region.hi} is {last:.3g} > tol {tol:.3g}",
@@ -183,7 +257,7 @@ def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:
 
 
 def _product_mass(mu: MeasureExpr, region: ProductRegion, tol: float) -> float:
-    dens = _density_fn(mu, region)
+    dens = _density_fn(mu, region)[0]
 
     def level(prefix, remaining, level_tol):
         region0 = remaining[0]

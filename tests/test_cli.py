@@ -555,6 +555,33 @@ class TestUsageErrors:
         assert main(["logdensity", "--expr", str(path), "--at", "0"]) == 1
 
 
+class TestSharedParser:
+    """`main` builds its parser once; no call leaves a value on it for the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_take_does_not_carry_over(self, tmp_path, capsys):
+        expr = write_doc(
+            tmp_path,
+            "walk",
+            {"Chain": {"initial": {"Normal": {"mu": 0.0}},
+                       "step": {"family": "Normal", "maps": {"mu": "identity"}}}},
+        )
+        code, out, _ = run(capsys, ["sample", "--expr", expr, "--seed", "3", "--take", "5"])
+        assert code == 0 and len(json.loads(out)) == 5
+        code, out, err = run(capsys, ["sample", "--expr", expr, "--seed", "3"])
+        assert code == 1 and out == "" and "--take" in err
+
+    def test_wrt_does_not_carry_over(self, tmp_path, capsys):
+        expr = write_doc(tmp_path, "n", {"Normal": {"mu": 0, "sigma": 2}})
+        wrt = write_doc(tmp_path, "leb", {"Lebesgue": {}})
+        code, out, _ = run(capsys, ["logdensity", "--expr", expr, "--wrt", wrt, "--at", "2"])
+        assert code == 0 and out != "-0.5\n"
+        code, out, _ = run(capsys, ["logdensity", "--expr", expr, "--at", "2"])
+        assert (code, out) == (0, "-0.5\n")
+
+
 class TestSubprocessInvocation:
     def test_module_entry_point_runs(self, tmp_path):
         expr = write_doc(tmp_path, "n", {"Normal": {}})
