@@ -367,6 +367,8 @@ def _keeps_integers(m: MeasureExpr) -> bool:
 
 
 def _cmd_check(args) -> int:
+    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
+        raise ValueError(f"--lo and --hi must be finite, got {args.lo!r} and {args.hi!r}")
     expr = _load_expr(args.expr)
     region = _region(expr, args.lo, args.hi)
     total = verify.mass(expr, region, args.tol)

@@ -9,8 +9,9 @@ pure.
 points and share one set of loops (`_Product`): each declares only its
 factors at a point and how their bases make its base.  `Product` and
 `ForProduct` have fixed factors (`_FixedProduct`); a ForProduct applies its
-kernel once per index, when it is built, and the fields of factors of one
-family are kept as columns.  The factors of `Bind` and `Chain` depend on
+kernel once per index, when it is built.  The fields of eight or more
+factors of one family are kept as columns, the one record their checks,
+data terms and lane draws read.  The factors of `Bind` and `Chain` depend on
 the point; over a family kernel they are read over columns of the elements
 (`_column_terms`), with no measure built, and their parameters checked a
 column at a time.  `Pushforward` and
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import islice, repeat
@@ -179,30 +179,26 @@ def _rejoined(weight: Optional[float], base: MeasureExpr) -> MeasureExpr:
 
 class _FixedProduct(_Product):
     """Independent product of the fixed measures ``children``: checks, masses
-    and draws run factor by factor, left to right; when every factor is of
-    a family that declares `catalog.Lanes`, each family's standard draws
-    come a chunk of streams at a time and its factors' are placed at their
-    parameters.  From `_COLUMNS_MIN` factors of one family on, the point's
-    check is its length and one scan of its types (each factor's is the
-    default scalar check), and its data terms are one sum over the
-    factors' field columns, kept as it is built.
+    and draws run factor by factor, left to right.  From `_COLUMNS_MIN`
+    factors of one family on, the family and its fields' columns over the
+    factors are kept as the product is built: the point's check is then its
+    length and one scan of its types (each factor's is the default scalar
+    check), its data terms are one sum over the columns, and, where the
+    family declares `catalog.Lanes`, the standard draws come a chunk of
+    streams at a time and are placed at the columns' parameters.
     A subclass declares ``children``, the message of its length error and
     `_base_of`.
     """
 
     #: The ShapeError message for a point that is no tuple of the right length.
     _length_error = "Product of {n} factors expects a {n}-tuple, got {x!r}"
-    #: When every factor's family declares `catalog.Lanes`, one entry per
-    #: family: (its `catalog.Lanes`, its ``args``, the indexes of its
-    #: factors, its factors), in order of first appearance.
-    _groups = None
     #: When the factors are `_COLUMNS_MIN` or more members of one family:
     #: the `catalog.Family` and its fields' columns over the factors.
     _columns = None
 
     def __post_init__(self):
-        # The flags, the groups and the columns are stored, not computed per
-        # read: a ForProduct may have thousands of factors.
+        # The flags and the columns are stored, not computed per read: a
+        # ForProduct may have thousands of factors.
         children = self.children
         if len(children) >= _COLUMNS_MIN:  # a short product, a Bind's base say, skips the scan
             cls = type(children[0])
@@ -210,16 +206,6 @@ class _FixedProduct(_Product):
             if (family is not None and children[0]._checked_shape() == ()
                     and all(type(child) is cls for child in children)):
                 object.__setattr__(self, "_columns", (family, tuple(zip(*map(family.args, children)))))
-        groups = {}
-        for i, child in enumerate(children):
-            family = getattr(type(child), "_family", None)
-            if family is None or family.lanes is None:
-                break
-            group = groups.setdefault(type(child), (family.lanes, family.args, [], []))
-            group[2].append(i)
-            group[3].append(child)
-        else:
-            object.__setattr__(self, "_groups", tuple(groups.values()))
         static = True
         for child in self.children:
             if child.self_checking:
@@ -285,31 +271,16 @@ class _FixedProduct(_Product):
         return total
 
     def _sample_normalized(self, seed: int):
-        children, groups = self.children, self._groups
-        n = len(children)
-        if groups is None or n < rng.LANE_MIN:
+        lanes = None if self._columns is None else self._columns[0].lanes
+        if lanes is None:
             return tuple(child._sample_normalized(rng.derive_key(seed, i))
-                         for i, child in enumerate(children))
-        # A chunk of words at a time, as many as the widest family takes; each
-        # family places the standard draws of its own factors' streams.
-        units = max(group[0].units for group in groups)
-        draws = [None] * n
-        lo = 0
-        for columns, words in rng.word_chunks(seed, 0, units, n):
-            hi = lo + len(columns[0])
-            for lanes, args, indexes, factors in groups:
-                a, b = bisect_left(indexes, lo), bisect_left(indexes, hi)
-                columns_of = columns[:lanes.units]
-                whole = b - a == hi - lo  # the chunk holds no other family's factor
-                if not whole:
-                    columns_of = [[c[i - lo] for i in indexes[a:b]] for c in columns_of]
-                placed = lanes.placed(lanes.standard(columns_of, words), map(args, factors[a:b]))
-                if whole:
-                    draws[lo:hi] = placed
-                else:
-                    for i, x in zip(indexes[a:b], placed):
-                        draws[i] = x
-            lo = hi
+                         for i, child in enumerate(self.children))
+        fields = self._columns[1]
+        draws = []
+        for chunk, words in rng.word_chunks(seed, 0, lanes.units, len(self.children)):
+            lo = len(draws)
+            params = zip(*[c[lo:lo + len(chunk[0])] for c in fields]) if fields else repeat(())
+            draws.extend(lanes.placed(lanes.standard(chunk, words), params))
         return tuple(draws)
 
 

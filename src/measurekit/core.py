@@ -238,11 +238,6 @@ def weight_evaluations() -> int:
     return _weight_evaluations
 
 
-def _count_weight_evaluation() -> None:
-    global _weight_evaluations
-    _weight_evaluations += 1
-
-
 # ---------------------------------------------------------------------------
 # Measure expressions
 # ---------------------------------------------------------------------------
@@ -487,7 +482,8 @@ class Weighted(MeasureExpr):
         return self.base._checked_shape()
 
     def log_density_at(self, x) -> float:
-        _count_weight_evaluation()
+        global _weight_evaluations
+        _weight_evaluations += 1
         return self.logweight
 
     def _data_column(self, xs) -> list:

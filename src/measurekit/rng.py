@@ -161,24 +161,6 @@ def word_chunks(key: int, start: int, k: int,
         size = min(2 * size, LANES)
 
 
-def unit_chunks(key: int, start: int, k: int, n: Optional[int] = None) -> Iterator[List[list]]:
-    """`word_chunks` as uniforms: list c of a chunk holds ``unit()`` draw
-    c + 1 of each of its streams."""
-    for columns, clean in word_chunks(key, start, k, n):
-        yield [_unit_column(c) for c in columns] if clean else columns
-
-
-def unit_block(key: int, n: int, k: int):
-    """Yield ``RandomStream(derive_key(key, i)).unit()`` k times for each i < n.
-
-    Values come stream by stream, in draw order, bit for bit those of the
-    streams themselves; a chunk of `LANES` streams is held at a time.
-    """
-    for columns in unit_chunks(key, 0, k, n):
-        for row in zip(*columns):
-            yield from row
-
-
 class RandomStream:
     """Sequential view over the counter-based generator for one key.
 

@@ -17,7 +17,7 @@ from typing import Callable, Tuple
 from . import core, rng
 from .combinators import Product
 from .core import (_TOO_DEEP, COUNTING, LEBESGUE, DepthError, MeasureError, MeasureExpr,
-                   UndefinedDensityError)
+                   UndefinedDensityError, _as_float)
 
 #: Bisections after the first 8 panels: at most 2**20 panels, so a call ends
 #: in bounded time at any tolerance.
@@ -31,14 +31,17 @@ _COLUMN = 4096
 
 @dataclass(frozen=True)
 class Interval:
-    """Axis-aligned continuous region [a, b]."""
+    """Axis-aligned continuous region [a, b]: a < b, with a, b and b - a
+    finite (an int beyond the float range counts as the infinity of its
+    sign), since quadrature places its nodes in floats across the width."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"Interval needs a < b, got [{self.a}, {self.b}]")
+        a, b = _as_float(self.a), _as_float(self.b)
+        if not (a < b and math.isfinite(b - a)):
+            raise ValueError(f"Interval needs finite a < b with b - a finite, got [{self.a}, {self.b}]")
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,10 @@ def _additivity_check(mu: MeasureExpr, region_a, region_b, tol: float) -> float:
 
 
 def mc_mean(mu: MeasureExpr, f: Callable, n: int, seed: int) -> float:
-    """Monte Carlo mean of f under mu; deterministic given the seed."""
+    """Monte Carlo mean of f under mu over n >= 1 draws; deterministic
+    given the seed."""
+    if n < 1:
+        raise ValueError(f"mc_mean needs n >= 1 draws, got {n!r}")
     total = 0.0
     for i in range(n):
         total += f(core.sample(mu, rng.derive_key(seed, i)))

@@ -1,7 +1,7 @@
 """Calls that must end, and end in a documented way: Poisson draws at rates
-near the top of the float range, quadrature at a tiny or invalid tolerance,
-densities beyond the float range, and a negative sample count on the
-command line."""
+near the top of the float range, quadrature at a tiny or invalid tolerance
+or over non-finite bounds, densities beyond the float range, and a negative
+sample count on the command line."""
 
 import json
 import math
@@ -78,6 +78,35 @@ def test_cli_check_rejects_an_invalid_tolerance(tmp_path, tol):
                       "--tol", tol])
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.startswith("error: mass tolerance must be finite and > 0")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("mu", [mk.Normal(), mk.Poisson(3.0)], ids=["lebesgue", "counting"])
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, math.inf), (-math.inf, 0.0),
+                                  (-1e308, 1e308), (0, 10**400), (-10**400, 0), (math.nan, 1.0)],
+                         ids=["0,inf", "-inf,inf", "-inf,0", "-1e308,1e308", "0,10**400",
+                              "-10**400,0", "nan,1"])
+def test_mass_rejects_a_non_finite_interval(mu, a, b):
+    with pytest.raises(ValueError, match="Interval needs finite a < b with b - a finite"):
+        verify.mass(mu, verify.Interval(a, b))
+
+
+def test_an_interval_within_the_float_range_is_kept():
+    assert verify.Interval(-1e307, 1e307).b == 1e307
+    wide = verify.Interval(0, 10**300)  # an int within the float range
+    assert wide.b == 10**300 and type(wide.b) is int
+
+
+@pytest.mark.parametrize("doc", [{"Normal": {}}, {"Poisson": {"rate": 3.0}}],
+                         ids=["lebesgue", "counting"])
+@pytest.mark.parametrize("lo, hi", [("0", "inf"), ("-inf", "inf"), ("-inf", "0"), ("nan", "1"),
+                                    ("0", "1e400")])
+def test_cli_check_rejects_a_non_finite_bound(tmp_path, doc, lo, hi):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    result = _python(["-m", "measurekit", "check", "--expr", str(path), f"--lo={lo}", f"--hi={hi}"])
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("error: --lo and --hi must be finite")
     assert result.stderr.count("\n") == 1
 
 

@@ -13,7 +13,7 @@ import pytest
 import measurekit as mk
 from measurekit import COUNTING, LEBESGUE, Dirac, NotProbabilityError, log_density, sample
 from measurekit.cli import parse_expr, print_expr
-from measurekit.rng import RandomStream, derive_key, unit_block
+from measurekit.rng import derive_key
 
 from oracles import dec_normal_logpdf, negbinomial_exact_logpmf
 
@@ -219,15 +219,6 @@ class TestSamplers:
             sample(LEBESGUE, 1)
         with pytest.raises(NotProbabilityError):
             sample(mk.scale(math.log(0.5), mk.make_normal()), 1)
-
-    def test_unit_block_is_the_substreams_leading_uniforms(self):
-        for key in (0, 5, 2**64 + 3, -9):
-            for k in (1, 2, 3):
-                want = []
-                for i in range(40):
-                    stream = RandomStream(derive_key(key, i))
-                    want.extend(stream.unit() for _ in range(k))
-                assert list(unit_block(key, 40, k)) == want
 
     def test_poisson_support_and_type(self):
         draws = [sample(mk.Poisson(2.5), derive_key(7, i)) for i in range(200)]

@@ -2,7 +2,7 @@
 
 iid blocks, the factors of a product and the steps of a chain over a family
 kernel take the leading uniforms of many substreams ``derive_key(seed, i)``
-at once (`rng.unit_chunks`).  The oracle throughout is the per-stream path:
+at once (`rng.word_chunks`).  The oracle throughout is the per-stream path:
 ``RandomStream(derive_key(key, i)).unit()``, a factor's own
 ``_sample_normalized``, and a chain step that builds the kernel's measure and
 draws from it.
@@ -33,9 +33,16 @@ def _stream_units(key, start, n, k):
     return columns
 
 
+def _unit_chunks(key, start, k, n=None):
+    """`rng.word_chunks` as uniforms: list c of a chunk holds ``unit()``
+    draw c + 1 of each of its streams."""
+    for chunk, words in rng.word_chunks(key, start, k, n):
+        yield [rng._unit_column(c) for c in chunk] if words else chunk
+
+
 def _lane_units(key, start, n, k):
     columns = [[] for _ in range(k)]
-    for chunk in rng.unit_chunks(key, start, k, n):
+    for chunk in _unit_chunks(key, start, k, n):
         assert len(chunk) == k and len(chunk[0]) <= LANES
         for column, part in zip(columns, chunk):
             column.extend(part)
@@ -62,7 +69,7 @@ class TestLaneUniforms:
         n = 2 * LANES + 3
         for key in KEYS:
             got = [[], []]
-            for chunk in rng.unit_chunks(key, 1, 2):
+            for chunk in _unit_chunks(key, 1, 2):
                 for column, part in zip(got, chunk):
                     column.extend(part)
                 if len(got[0]) >= n:

@@ -148,3 +148,8 @@ class TestMcMean:
     def test_improper_rejected(self):
         with pytest.raises(mk.NotProbabilityError):
             mc_mean(LEBESGUE, lambda v: v, 10, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -1, -100])
+    def test_fewer_than_one_draw_rejected(self, n):
+        with pytest.raises(ValueError, match="mc_mean needs n >= 1 draws"):
+            mc_mean(mk.Normal(), lambda v: v, n, seed=0)
