@@ -349,7 +349,9 @@ def _region(expr: MeasureExpr, lo: float, hi: float):
     if "lebesgue" in kinds:
         return verify.Interval(lo, hi)
     if kinds == {"counting"}:
-        return verify.IntegerRange(int(math.ceil(lo)), int(math.floor(hi)))
+        if math.ceil(lo) > math.floor(hi):
+            raise ValueError(f"--lo {lo!r} and --hi {hi!r} hold no integer")
+        return verify.IntegerRange(math.ceil(lo), math.floor(hi))
     raise ValueError("check supports measures with a scalar Lebesgue or Counting reference")
 
 

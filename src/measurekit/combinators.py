@@ -317,7 +317,7 @@ class Product(_FixedProduct):
         refs = [m.reference_class() for m in self.children]
         if None in refs or len({ref[0] for ref in refs}) != 1:
             return None
-        return refs[0][0], sum(ref[1] for ref in refs)
+        return refs[0][0], _left_sum((ref[1] for ref in refs), 0)
 
 
 def _coordinatewise(sources, targets, x) -> float:
@@ -362,7 +362,8 @@ def product_base(bases: Sequence[MeasureExpr], shape: Tuple[int, ...]) -> Measur
 
 
 # Before Python 3.12 `sum` adds floats left to right, as a loop does; from
-# 3.12 on it compensates, which rounds otherwise.
+# 3.12 on it compensates, which rounds otherwise.  Every float sum here
+# goes through this, so the bits are the same on every supported Python.
 _left_sum = sum if sys.version_info < (3, 12) else partial(reduce, operator.add)
 
 
@@ -914,14 +915,14 @@ def _check_lower_triangular(m):
 # 0.0 * inf would add NaN at an infinite coordinate.
 def _matvec(m, v):
     return tuple(
-        sum(m[i][j] * v[j] for j in range(i + 1) if m[i][j]) for i in range(len(m))
+        _left_sum((m[i][j] * v[j] for j in range(i + 1) if m[i][j]), 0) for i in range(len(m))
     )
 
 
 def _solve_lower(m, v):
     out = []
     for i in range(len(m)):
-        s = v[i] - sum(m[i][j] * out[j] for j in range(i) if m[i][j])
+        s = v[i] - _left_sum((m[i][j] * out[j] for j in range(i) if m[i][j]), 0)
         out.append(s / m[i][i])
     return tuple(out)
 
@@ -936,7 +937,7 @@ def _minus(a, b: float) -> float:
 
 def _log_det(m) -> float:
     if isinstance(m, tuple):
-        return sum(math.log(m[i][i]) for i in range(len(m)))
+        return _left_sum((math.log(m[i][i]) for i in range(len(m))), 0)
     return math.log(m)
 
 

@@ -765,30 +765,24 @@ def _replay(plan, mu, x) -> float:
 def _log_density_column(m: MeasureExpr, wrt: MeasureExpr, xs) -> Optional[list]:
     """`_log_density(m, x, wrt)` at each point of a sequence xs, by m's kept
     walk plan against ``wrt`` replayed over the whole column: None where m
-    keeps no plan for ``wrt``, or its plan ends in a rule.
+    keeps no plan for ``wrt``.
 
     Every point passes m's check, then wrt's unless the plan says m's
     implies it; then each node of the plan gives its data terms as one
     column (`_data_column`), and the columns are combined per point in the
     plan's order with `_replay`'s arithmetic and NaN exits, so each value
-    has its bits.  A column evaluates every node at every point, also past
-    the point's NaN exit and past an error at an earlier point: a caller
-    that needs the errors and the side effects of the points in turn (the
-    weight counter) evaluates them again by `_log_density`.
+    has its bits.  Where a rule ended the walk (`_local_rule` for sums and
+    pushforwards), it is applied at each point that reaches it, in turn.  A
+    column evaluates every node at every point, also past the point's NaN
+    exit and past an error at an earlier point: a caller that needs the
+    errors and the side effects of the points in turn (the weight counter)
+    evaluates them again by `_log_density`.
     """
-    for target, plan in m._plans:
-        if target is wrt:
-            break
-    else:
+    plan = next((p for target, p in m._plans if target is wrt), None)
+    if plan is None:
         return None
-    if plan is None or plan[3] is not None:
-        return None
-    head, tail, targets, _, _, _, same = plan
-    check = m.check_point
-    for x in xs:
-        check(x)
-    if not same:
-        check = wrt.check_point
+    head, tail, targets, end, a, b, same = plan
+    for check in (m.check_point,) if same else (m.check_point, wrt.check_point):
         for x in xs:
             check(x)
     num = [0.0] * len(xs)
@@ -800,10 +794,12 @@ def _log_density_column(m: MeasureExpr, wrt: MeasureExpr, xs) -> Optional[list]:
     den = [0.0] * len(xs)
     for node in targets:
         den = list(map(_add, den, node._data_column(xs)))
-    # A den that reached -inf at some step ends at -inf or NaN, and a NaN
-    # den gives a NaN value.
-    return [s if s != s else math.nan if s == -math.inf and d == -math.inf
-            else (e - d) + 0.0 for s, e, d in zip(num, meet, den)]
+    a, b = m if a is None else a, m if b is None else b
+    # A den that reached -inf at some step ends at -inf or NaN.  A rule
+    # plan keeps no tail, so there meet is num.
+    return [s if s != s else math.nan if d != d or s == d == -math.inf
+            else (e - d) + (0.0 if end is None else end(a, b, x))
+            for x, s, e, d in zip(xs, num, meet, den)]
 
 
 # ---------------------------------------------------------------------------

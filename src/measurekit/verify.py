@@ -46,12 +46,14 @@ class Interval:
 
 @dataclass(frozen=True)
 class IntegerRange:
-    """Inclusive integer region {lo, ..., hi}."""
+    """Inclusive integer region {lo, ..., hi}: int bounds (no bool), lo <= hi."""
 
     lo: int
     hi: int
 
     def __post_init__(self):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.lo, self.hi)):
+            raise ValueError(f"IntegerRange needs int bounds, got [{self.lo!r}, {self.hi!r}]")
         if not self.lo <= self.hi:
             raise ValueError(f"IntegerRange needs lo <= hi, got [{self.lo}, {self.hi}]")
 
@@ -64,20 +66,32 @@ class ProductRegion:
 
 
 def _reference(region) -> MeasureExpr:
+    """The region's reference measure.  An integer range holds at most
+    the quadrature's node cap of integers, so a sum ends in bounded time."""
     if isinstance(region, Interval):
         return LEBESGUE
     if isinstance(region, IntegerRange):
+        if region.hi - region.lo > 8 << _MAX_DEPTH:
+            raise ValueError(f"mass sums at most {(8 << _MAX_DEPTH) + 1} integers, "
+                             f"got [{region.lo}, {region.hi}]")
         return COUNTING
     if isinstance(region, ProductRegion):
         return Product(tuple(_reference(c) for c in region.children))
     raise TypeError(f"not a region: {region!r}")
 
 
-def _density_fn(mu: MeasureExpr, region) -> Tuple[Callable, Callable]:
-    """The density of mu against the region's reference measure, as a
-    function of a point and as a function of a list of points (a column),
-    which gives the values the first gives at each, in order, and raises
-    the first one's first error."""
+def _density_fn(mu: MeasureExpr, region) -> Callable[[list], list]:
+    """The density of mu against the region's reference measure at each
+    point of a list (a column): the values `log_density` gives at each, in
+    order, and the first one's first error.
+
+    Where mu keeps a walk plan against the reference the column replays it
+    (`core._log_density_column`).  Points go in turn where mu's base
+    depends on the point, for a measure's first two points, at the second
+    of which it keeps its plan, and for a column with an error, an
+    undefined or an infinite value, after which the weight counter reads
+    as before, so the error is the first point's.
+    """
     ref = _reference(region)
 
     def dens(x):
@@ -96,9 +110,8 @@ def _density_fn(mu: MeasureExpr, region) -> Tuple[Callable, Callable]:
         return p
 
     def replayed(xs):
-        """The column by mu's kept plan (`core._log_density_column`); None
-        where mu keeps none, and where a value is undefined or infinite or
-        an error is raised, after which the weight counter reads as before."""
+        """The column by mu's kept plan; None where mu keeps none, or where
+        a value is undefined or infinite or an error is raised."""
         count = core.weight_evaluations()
         try:
             values = core._log_density_column(mu, ref, xs)
@@ -114,18 +127,16 @@ def _density_fn(mu: MeasureExpr, region) -> Tuple[Callable, Callable]:
         return None
 
     def column(xs: list) -> list:
-        if not mu.static_base:  # the walk depends on the point: no plan to replay
-            return [dens(x) for x in xs]
         values = replayed(xs)
         if values is not None:
             return values
         # A pair keeps its plan at its second call: two points in turn, then
         # the rest by the plan if it is kept.
         done = [dens(x) for x in xs[:2]]
-        values = replayed(xs[2:]) if len(xs) > 2 else None
+        values = replayed(xs[2:])
         return done + ([dens(x) for x in xs[2:]] if values is None else values)
 
-    return dens, column
+    return column
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -216,7 +227,8 @@ def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:
     adaptive Simpson at the given absolute tolerance; integer regions sum the
     probability mass function exactly and warn when the last term still
     exceeds the tolerance (truncated tail).  Product regions use iterated
-    quadrature.  The tolerance must be finite and positive.
+    quadrature (`_integral`).  The tolerance must be finite and positive,
+    and an integer range may hold at most 2**20 + 1 integers.
 
     Raises UndefinedDensityError at the first node or term whose density is
     undefined, and MeasureError, naming the point, at the first whose
@@ -225,59 +237,52 @@ def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:
     most 2**20 + 1 per interval (`adaptive_simpson`).
 
     The nodes a grid adds, and the terms of an integer range, are evaluated
-    as a column of up to `_COLUMN` points: where mu keeps a walk plan
-    against the reference that ends where the two chains meet, its data
-    terms are evaluated node by node over the whole column
-    (`core._log_density_column`), else point by point, as for a measure
-    whose base depends on the point, a plan that ends in a rule (sums,
-    pushforwards, Diracs) and a measure's first two points, at the second
-    of which it keeps its plan.  Either way each value has the bits of the
-    point's own `log_density`; a column in which a density is undefined or
-    infinite, or an error is raised, is evaluated again point by point, so
-    the error is the first point's.  Product regions are evaluated point by
-    point.
+    as a column of up to `_COLUMN` points (`_density_fn`): where mu keeps a
+    walk plan against the reference, it is replayed over the whole column
+    (`core._log_density_column`).  Points go in turn only where mu's base
+    depends on the point, for a measure's first two points, and for a
+    column with an error, an undefined or an infinite value.  Either way
+    each value has the bits of the point's own `log_density`, and an error
+    is the first point's.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"mass tolerance must be finite and > 0, got {tol!r}")
+    column = _density_fn(mu, region)
+    if not isinstance(region, IntegerRange):
+        return _integral(column, region, tol)
+    total, last = _range_sum(column, region)
+    if last > tol:
+        warnings.warn(f"mass sum truncated: pmf at {region.hi} is {last:.3g} > tol {tol:.3g}",
+                      stacklevel=2)
+    return total
+
+
+def _integral(column: Callable[[list], list], region, tol: float) -> float:
+    """The integral over the region of the values ``column`` gives at a list
+    of points: an interval by `_quadrature`, an integer range by
+    `_range_sum`, and a product region over tuple points, its first
+    coordinate outermost, each inner integral at a quarter of the
+    tolerance of the one around it."""
     if isinstance(region, Interval):
-        return _quadrature(_density_fn(mu, region)[1], region.a, region.b, tol)
+        return _quadrature(column, region.a, region.b, tol)
     if isinstance(region, IntegerRange):
-        column = _density_fn(mu, region)[1]
-        total = 0.0
-        last = 0.0
-        for lo in range(region.lo, region.hi + 1, _COLUMN):
-            for last in column(list(range(lo, min(lo + _COLUMN, region.hi + 1)))):
-                total += last
-        if last > tol:
-            warnings.warn(
-                f"mass sum truncated: pmf at {region.hi} is {last:.3g} > tol {tol:.3g}",
-                stacklevel=2,
-            )
-        return total
-    if isinstance(region, ProductRegion):
-        return _product_mass(mu, region, tol)
-    raise TypeError(f"not a region: {region!r}")
+        return _range_sum(column, region)[0]
+    first, *rest = region.children
+    if not rest:
+        return _integral(lambda xs: column([(x,) for x in xs]), first, tol)
+    inner = ProductRegion(tuple(rest))
+    return _integral(lambda xs: [_integral(lambda ys: column([(x, *y) for y in ys]), inner,
+                                           tol / 4.0) for x in xs], first, tol)
 
 
-def _product_mass(mu: MeasureExpr, region: ProductRegion, tol: float) -> float:
-    dens = _density_fn(mu, region)[0]
-
-    def level(prefix, remaining, level_tol):
-        region0 = remaining[0]
-        rest = remaining[1:]
-        if not rest:
-            def f(x):
-                return dens(prefix + (x,))
-        else:
-            def f(x):
-                return level(prefix + (x,), rest, level_tol / 4.0)
-        if isinstance(region0, Interval):
-            return adaptive_simpson(f, region0.a, region0.b, level_tol)
-        if isinstance(region0, IntegerRange):
-            return sum(f(k) for k in range(region0.lo, region0.hi + 1))
-        raise TypeError(f"not a region: {region0!r}")
-
-    return level((), region.children, tol)
+def _range_sum(column: Callable[[list], list], region: IntegerRange) -> Tuple[float, float]:
+    """The sum of the values ``column`` gives at the region's integers,
+    added left to right, and the last of them."""
+    total = last = 0.0
+    for lo in range(region.lo, region.hi + 1, _COLUMN):
+        for last in column(list(range(lo, min(lo + _COLUMN, region.hi + 1)))):
+            total += last
+    return total, last
 
 
 def additivity_check(mu: MeasureExpr, region_a, region_b, tol: float = 1e-9) -> float:

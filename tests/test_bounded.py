@@ -46,11 +46,11 @@ def test_cli_samples_a_huge_poisson_rate(tmp_path, capsys):
     assert len(out.splitlines()) == 50
 
 
-def _python(args):
+def _python(args, timeout=60):
     """Run Python on ``args`` in a subprocess, so that a call that never
     returns fails the test."""
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": SRC})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": SRC})
 
 
 def test_mass_rejects_an_invalid_tolerance():
@@ -108,6 +108,43 @@ def test_cli_check_rejects_a_non_finite_bound(tmp_path, doc, lo, hi):
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.startswith("error: --lo and --hi must be finite")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("lo, hi", [(0, math.inf), (0.5, 3), (0, 2.5), (0, 3.0), (True, 3),
+                                    (3, 2)])
+def test_an_integer_range_needs_int_bounds_in_order(lo, hi):
+    with pytest.raises(ValueError, match=r"IntegerRange needs (int bounds|lo <= hi)"):
+        verify.IntegerRange(lo, hi)
+
+
+def test_mass_refuses_a_range_past_the_node_cap_before_any_density():
+    # The density is infinite at 0, the first term: a range within the cap
+    # reaches it, one integer more is refused first.
+    heavy = mk.scale(750.0, mk.Poisson(3.0))
+    with pytest.raises(mk.MeasureError, match="infinite density .* at 0$"):
+        verify.mass(heavy, verify.IntegerRange(0, 2**20))
+    refused = r"mass sums at most 1048577 integers, got \[{}, {}\]$"
+    with pytest.raises(ValueError, match=refused.format(-1, 2**20)):
+        verify.mass(heavy, verify.IntegerRange(-1, 2**20))
+    with pytest.raises(ValueError, match=refused.format(0, 10**7)):
+        verify.mass(heavy, verify.IntegerRange(0, 10**7))
+    with pytest.raises(ValueError, match=refused.format(0, 10**12)):
+        verify.mass(mk.product(mk.Normal(), heavy),
+                    verify.ProductRegion((verify.Interval(-1.0, 1.0), verify.IntegerRange(0, 10**12))))
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ("0", "1e9", "error: mass sums at most 1048577 integers, got [0, 1000000000]"),
+    ("0", "1e12", "error: mass sums at most 1048577 integers, got [0, 1000000000000]"),
+    ("0.5", "0.7", "error: --lo 0.5 and --hi 0.7 hold no integer"),
+])
+def test_cli_check_refuses_a_range_it_cannot_sum_promptly(tmp_path, lo, hi, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"Poisson": {"rate": 3.0}}))
+    result = _python(["-m", "measurekit", "check", "--expr", str(path), "--lo", lo, "--hi", hi],
+                     timeout=10)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == message + "\n"
 
 
 def test_mass_at_a_tiny_tolerance_ends():

@@ -940,3 +940,33 @@ class TestPowerAgainstProduct:
                             values += 1
                         outcomes += 1
         assert values >= outcomes / 4
+
+
+def _left_to_right(terms):
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def test_affine_and_reference_sums_add_left_to_right():
+    # Left to right, 1e16 + 1.0 rounds to 1e16, so the last row is 0.0; the
+    # builtin `sum` of Python 3.12 and later compensates and gives 1.0.  On
+    # earlier versions `sum` adds left to right, so this passes either way.
+    z = (1e16, 1.0, -1e16)
+    assert math.fsum(z) == 1.0 and _left_to_right(z) == 0.0
+    tri = ((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0))
+    assert mk.forward_map(tri).from_source(z) == (1e16, 1e16, 0.0)  # by `_matvec`
+    assert mk.inverse_map(tri).to_source(z) == (1e16, 1e16, 0.0)
+    # The triangular solve subtracts the same left sum: x3 - (1e16 + 1.0 - 1e16).
+    last = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0))
+    assert mk.forward_map(last).to_source(z + (0.0,)) == z + (0.0,)
+    # Log-determinants and the reference scales of a product of pushforwards.
+    factors = (2.0 ** 1000, 1.0 + 2.0 ** -40, 2.0 ** -1000)
+    logs = [math.log(v) for v in factors]
+    assert _left_to_right(logs) != math.fsum(logs)
+    diagonal = tuple(tuple(v if i == j else 0.0 for j in range(3)) for i, v in enumerate(factors))
+    assert mk.forward_map(diagonal).log_det_forward() == _left_to_right(logs)
+    scaled = [mk.pushforward(mk.forward_map(v), LEBESGUE) for v in factors]
+    want = _left_to_right(m.reference_class()[1] for m in scaled)
+    assert mk.Product(tuple(scaled)).reference_class() == ("lebesgue", want)

@@ -19,7 +19,7 @@ import pytest
 import measurekit as mk
 from measurekit import core, verify
 from measurekit.core import LEBESGUE, COUNTING, MeasureError, ShapeError, UndefinedDensityError
-from measurekit.verify import Interval, IntegerRange
+from measurekit.verify import Interval, IntegerRange, ProductRegion
 
 
 def _bits(value):
@@ -42,12 +42,33 @@ def per_point(mu, ref):
 
 
 def reference_mass(mu, region, tol):
+    if isinstance(region, ProductRegion):
+        return _iterated(per_point(mu, verify._reference(region)), (), region.children, tol)
     if isinstance(region, Interval):
         return verify.adaptive_simpson(per_point(mu, LEBESGUE), region.a, region.b, tol)
     f = per_point(mu, COUNTING)
     total = 0.0
     for k in range(region.lo, region.hi + 1):
         total += f(k)
+    return total
+
+
+def _iterated(f, prefix, regions, tol):
+    """The iterated integral of f at tuple points, point by point: the
+    first coordinate outermost, each inner integral at a quarter of the
+    tolerance of the one around it."""
+    first, rest = regions[0], regions[1:]
+    if rest:
+        def g(x):
+            return _iterated(f, prefix + (x,), rest, tol / 4.0)
+    else:
+        def g(x):
+            return f(prefix + (x,))
+    if isinstance(first, Interval):
+        return verify.adaptive_simpson(g, first.a, first.b, tol)
+    total = 0.0
+    for k in range(first.lo, first.hi + 1):
+        total += g(k)
     return total
 
 
@@ -73,8 +94,8 @@ def _posterior():
 
 # (name, a builder of a fresh measure, region, tol): every catalog family,
 # both NegativeBinomial parameterizations, scaled members, Dirac against
-# counting measure, pushforwards, and the per-point cases (a sum, a
-# posterior).  Integer ranges start below 0 and run past the support.
+# counting measure, pushforwards, a sum and a posterior.  Integer ranges
+# start below 0 and run past the support.
 CORPUS = [
     ("Normal", lambda: mk.Normal(0.3, 1.2), Interval(-14.1, 14.7), 1e-8),
     ("Uniform01", lambda: mk.Uniform01(), Interval(-0.5, 1.5), 1e-4),
@@ -96,11 +117,6 @@ CORPUS = [
     ("mixture", _mixture, Interval(-12.0, 12.0), 1e-8),
     ("posterior", _posterior, Interval(-6.0, 6.0), 1e-10),
 ]
-
-
-#: The cases whose plan ends in a rule (`core._local_rule`): `mass` walks
-#: their points in turn.
-PER_POINT = {"Dirac-counting", "pushforward", "pushforward-counts", "mixture"}
 
 
 def _counted(fn):
@@ -134,8 +150,38 @@ def test_mass_is_the_per_point_mass(case, column, monkeypatch):
         want, want_weights = _counted(lambda: reference_mass(nu, region, tol))
         assert _bits(got) == _bits(want)
         assert got_weights == want_weights
-    # With its plan kept, a mass walks no point in turn unless the plan ends in a rule.
-    assert (mass_walked == 0) == (name not in PER_POINT)
+    # With its plan kept, a mass walks no point in turn, also where the plan
+    # ends in a rule (`core._local_rule` for the sums and pushforwards).
+    assert mass_walked == 0
+
+
+# (a builder of a fresh product measure, a product region, tol): intervals
+# and integer ranges in either order, weighted factors, a factor whose walk
+# ends in a rule (a pushforward), and three coordinates.
+PRODUCTS = [
+    (lambda: mk.product(mk.Normal(0.2, 1.1), mk.Exponential(1.5)),
+     ProductRegion((Interval(-8.0, 8.0), Interval(0.0, 20.0))), 1e-5),
+    (lambda: mk.product(mk.scale(0.3, mk.Poisson(2.5)), mk.Normal(0.2, 1.1)),
+     ProductRegion((IntegerRange(-1, 12), Interval(-8.0, 8.0))), 1e-6),
+    (lambda: mk.product(mk.pushforward(mk.forward_map(2.0, -0.5), mk.Normal(0.1, 1.3)),
+                        mk.scale(-0.2, mk.Exponential(1.0))),
+     ProductRegion((Interval(-12.0, 12.0), Interval(-1.0, 15.0))), 1e-4),
+    (lambda: mk.Product((mk.Normal(), mk.scale(-0.2, mk.Poisson(1.5)), mk.Exponential(2.0))),
+     ProductRegion((Interval(-6.0, 6.0), IntegerRange(0, 6), Interval(0.0, 10.0))), 1e-2),
+]
+
+
+@pytest.mark.parametrize("column", [verify._COLUMN, 3])
+@pytest.mark.parametrize("k", range(len(PRODUCTS)))
+def test_a_product_mass_is_the_iterated_per_point_mass(k, column, monkeypatch):
+    monkeypatch.setattr(verify, "_COLUMN", column)
+    build, region, tol = PRODUCTS[k]
+    mu, nu = build(), build()
+    for _ in range(2):  # fresh, then with the plans the first pass kept
+        got, got_weights = _counted(lambda: verify.mass(mu, region, tol))
+        want, want_weights = _counted(lambda: reference_mass(nu, region, tol))
+        assert _bits(got) == _bits(want)
+        assert got_weights == want_weights
 
 
 def _fresh(mu, region):
@@ -221,6 +267,40 @@ def test_a_column_of_a_kept_plan_is_the_walk(mu, nu):
     want = [core._recurse(mu, nu, x) for x in xs]
     assert [_bits_or_nan(v) for v in got] == [_bits_or_nan(v) for v in want]
     assert {v != v for v in want} == {True, False}
+
+
+@pytest.mark.parametrize("mu, nu", [
+    # Data terms on the source side only, each order: NaN at nan.
+    (mk.pushforward(mk.forward_map(2.0, -0.5), mk.Normal(0.1, 1.3)), LEBESGUE),
+    # A source NaN below -2, and -inf against -inf at -inf.
+    (mk.integrate_exp(lambda x: math.nan if x < -2 else -abs(x), LEBESGUE),
+     mk.pushforward(mk.forward_map(2.0, -0.5), LEBESGUE)),
+    # Data terms on both sides; both vanish at -inf and +inf.
+    (mk.scale(0.3, mk.Exponential(1.0)),
+     mk.pushforward(mk.forward_map(2.0, -0.5), mk.Normal(0.1, 1.3))),
+])
+def test_a_column_applies_the_rule_only_where_the_walk_reaches_it(mu, nu, monkeypatch):
+    # A plan that ends in the local rule: the column gives the walk's bits
+    # and calls the rule at the points the walk calls it at, none past a
+    # NaN exit.
+    calls = []
+    local_rule = core._local_rule
+
+    def counted(a, b, x):
+        calls.append(x)
+        return local_rule(a, b, x)
+
+    monkeypatch.setattr(core, "_local_rule", counted)
+    xs = [-3.0, -0.5, 0, 0.0, 0.5, 2, 7.25, 1e300, -math.inf, math.inf, math.nan]
+    for source, target in ((mu, nu), (nu, mu)):
+        for x in (0.1, 0.2):
+            core._log_density(source, x, target)
+        calls.clear()
+        got = core._log_density_column(source, target, xs)
+        replayed, calls[:] = calls[:], []
+        want = [core._recurse(source, target, x) for x in xs]
+        assert [_bits_or_nan(v) for v in got] == [_bits_or_nan(v) for v in want]
+        assert replayed == calls and len(calls) < len(xs)
 
 
 @dataclass(frozen=True)

@@ -289,7 +289,10 @@ def test_memo_is_invisible_to_equality_hash_repr_and_documents():
             assert m._plans
     used = scalar + pair
     for m, f in zip(used, fresh):
-        assert {"_plans", "_kept_bases"}.isdisjoint(field.name for field in dataclasses.fields(m))
+        kept = {"_plans", "_kept_base", "_kept_local"}
+        assert kept.isdisjoint(field.name for field in dataclasses.fields(m))
+        if isinstance(m, mk.Superposition):  # the memos are in use, yet no field
+            assert m._kept_base is not None and m._kept_local is not None
         if not isinstance(m, mk.IntegralMeasure):  # compared by identity
             assert m == f and hash(m) == hash(f)
         if isinstance(m, (mk.IntegralMeasure, mk.PointwiseProduct)):

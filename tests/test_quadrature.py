@@ -166,13 +166,19 @@ def _masses():
 def test_mass_matches_the_reference(k, monkeypatch):
     mu, region, tol = _masses()[k]
     calls = []
-    log_density = mk.core._log_density
+    density_fn = verify._density_fn
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return log_density(*args, **kwargs)
+    def counted(mu, region):
+        column = density_fn(mu, region)
 
-    monkeypatch.setattr(mk.core, "_log_density", counted)
+        def recorded(xs):
+            calls.extend(xs)
+            return column(xs)
+
+        return recorded
+
+    # The nodes each density column is given, of a product region too.
+    monkeypatch.setattr(verify, "_density_fn", counted)
     got = verify.mass(mu, region, tol)
     new = len(calls)
     # The reference evaluates each node alone, through the same column seam.

@@ -1,8 +1,10 @@
 """A sum and its own base relate through one rule, read in both orders.
 
-`Superposition.rule_vs` answers d(sum)/d(base) by the pivot density and
-d(base)/d(sum) by its negation, so the two orders are exact negations and the
-base against the sum costs one pivot density, not a walk per pair of
+A walk that reaches a sum ends by the local rule of the two measures
+(`core._local_rule`): one local reference, read from both sides' roots, and
+the difference of the two sides' log sums of their summands' terms.  So
+d(base)/d(sum) is the exact negation of d(sum)/d(base), and the base against
+a wide sum costs at most a nested walk per component, not one per pair of
 components.
 """
 
