@@ -142,6 +142,7 @@ def _kernel_terms(first: MeasureExpr, kernel, x):
 _COLUMNS_MIN = 8
 
 _PLAIN = frozenset((float, int))
+_FLOAT = frozenset((float,))
 
 
 def _column_terms(law, x, data: float, weights: list) -> Optional[float]:
@@ -494,31 +495,32 @@ class Power(MeasureExpr):
         inner = self.child._checked_shape()
         return None if inner is None else self.shape + inner
 
-    def log_density_at(self, x) -> float:
+    def _entries(self, x):
+        """x's entries, row-major; a self-checking power checks the nesting
+        here, as its child checks each entry as it evaluates it."""
         if self.self_checking:
             _check_shape(x, self.shape, None)
-        return self.child._data_block(_flat(x, self.shape))
+        return _flat(x, self.shape)
+
+    def log_density_at(self, x) -> float:
+        return self.child._data_block(self._entries(x))
 
     def base_at(self, x) -> MeasureExpr:
-        if self.self_checking:
-            _check_shape(x, self.shape, None)
         base = self.child.base_at
-        if self.child.static_base:
+        if self.child.static_base:  # so this power is not self-checking
             first = x
             for _ in self.shape:
                 first = first[0]
             return product_base((base(first),), self.shape)
-        return product_base([base(xi) for xi in _flat(x, self.shape)], self.shape)
+        return product_base([base(xi) for xi in self._entries(x)], self.shape)
 
     def unfold(self, x):
         if self.child.static_base:
             return MeasureExpr.unfold(self, x)
         # Each coordinate's base is taken at its entry, which is unfolded once.
-        if self.self_checking:
-            _check_shape(x, self.shape, None)
         weights, bases = [], []
         data = 0.0
-        for xi in _flat(x, self.shape):
+        for xi in self._entries(x):
             data = _unfold_into(self.child, xi, data, weights, bases)
         base = _joined_base(weights, bases, self.shape)
         return None if base == self else (data, base)
@@ -873,14 +875,15 @@ def integrate(f: Callable[[Any], float], nu: MeasureExpr) -> IntegralMeasure:
     """Measure with density f against nu.
 
     f must be nonnegative on nu's support; negative values raise at
-    evaluation time.
+    evaluation time, and a NaN value is an undefined density there, as
+    `integrate_exp` gives for a NaN log-density.
     """
 
     def log_fn(x):
         v = f(x)
         if v < 0.0:
             raise ValueError(f"density function returned a negative value at {x!r}")
-        return math.log(v) if v > 0.0 else -math.inf
+        return math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan
 
     return IntegralMeasure(log_fn, nu)
 
@@ -925,14 +928,6 @@ def _solve_lower(m, v):
         s = v[i] - _left_sum((m[i][j] * out[j] for j in range(i) if m[i][j]), 0)
         out.append(s / m[i][i])
     return tuple(out)
-
-
-def _minus(a, b: float) -> float:
-    """a - b, where an int a beyond the float range counts as the infinity it rounds to."""
-    try:
-        return a - b
-    except OverflowError:
-        return (math.inf if a > 0 else -math.inf) - b
 
 
 def _log_det(m) -> float:
@@ -981,8 +976,26 @@ class AffineMap:
     def is_matrix(self) -> bool:
         return isinstance(self.factor, tuple)
 
+    def _floats(self, x):
+        """x in floats, where it is a point of the map's space: a number (no
+        bool) for a scalar map, a tuple of as many numbers as the dimension
+        for a matrix map; an int beyond the float range is the infinity of
+        its sign.  Else ShapeError, naming x."""
+        if type(self.factor) is tuple:
+            if isinstance(x, tuple) and len(x) == len(self.offset):
+                if _FLOAT.issuperset(map(type, x)):
+                    return x
+                if all(map(_is_scalar, x)):
+                    return tuple(map(_as_float, x))
+        elif type(x) is float:
+            return x
+        elif _is_scalar(x):
+            return _as_float(x)
+        raise ShapeError(f"point {x!r} does not match the affine map")
+
     def from_source(self, z):
         """Map a source-space point to the transformed space."""
+        z = self._floats(z)
         if self.mode == "forward":
             if self.is_matrix:
                 return tuple(a + b for a, b in zip(_matvec(self.factor, z), self.offset))
@@ -993,12 +1006,13 @@ class AffineMap:
 
     def to_source(self, x):
         """Map a transformed-space point back to the source space."""
+        x = self._floats(x)
         if self.is_matrix:
-            shifted = tuple(_minus(a, b) for a, b in zip(x, self.offset))
+            shifted = tuple(a - b for a, b in zip(x, self.offset))
             return (_solve_lower if self.mode == "forward" else _matvec)(self.factor, shifted)
         if self.mode == "forward":
-            return _minus(x, self.offset) / self.factor
-        return self.factor * _minus(x, self.offset)
+            return (x - self.offset) / self.factor
+        return self.factor * (x - self.offset)
 
     def log_det_forward(self) -> float:
         """log |d(transformed)/d(source)|."""
@@ -1054,35 +1068,20 @@ class Pushforward(MeasureExpr):
             object.__setattr__(self, "self_checking", True)
 
     # Over a self-checking inner measure (a chain, say) it is self-checking:
-    # each method maps the point as `check_point` does, and the inner
-    # measure checks the source point as it evaluates it.  The two methods
-    # that walk plans replay map it inline.
-
-    def _source(self, x):
-        try:
-            return self.map.to_source(x)
-        except (TypeError, IndexError):
-            raise ShapeError(f"point {x!r} does not match the affine map") from None
+    # each method maps the point, which the map checks, and the inner
+    # measure checks the source point as it evaluates it.
 
     def check_point(self, x) -> None:
-        try:
-            z = self.map.to_source(x)
-        except (TypeError, IndexError):
-            raise ShapeError(f"point {x!r} does not match the affine map") from None
-        self.inner.check_point(z)
+        self.inner.check_point(self.map.to_source(x))
 
     def log_density_at(self, x) -> float:
-        try:
-            z = self.map.to_source(x)
-        except (TypeError, IndexError):
-            raise ShapeError(f"point {x!r} does not match the affine map") from None
-        return self.inner.log_density_at(z)
+        return self.inner.log_density_at(self.map.to_source(x))
 
     def base_at(self, x) -> MeasureExpr:
-        return pushforward(self.map, self.inner.base_at(self._source(x)))
+        return pushforward(self.map, self.inner.base_at(self.map.to_source(x)))
 
     def unfold(self, x):
-        step = self.inner.unfold(self._source(x))
+        step = self.inner.unfold(self.map.to_source(x))
         if step is None:  # an inner fixed point: this is one too, or an atom is its base
             return MeasureExpr.unfold(self, x)
         return step[0], pushforward(self.map, step[1])
@@ -1112,8 +1111,7 @@ def pushforward(t: AffineMap, mu: MeasureExpr) -> MeasureExpr:
     if isinstance(mu, Superposition):
         return Superposition(tuple(pushforward(t, c) for c in mu.components))
     if isinstance(mu, Dirac):
-        atom = mu.atom  # as floats, so an int beyond their range is an infinity
-        return Dirac(t.from_source(tuple(map(_as_float, atom)) if t.is_matrix else _as_float(atom)))
+        return Dirac(t.from_source(mu.atom))
     if isinstance(mu, Weighted):
         return Weighted(mu.logweight, pushforward(t, mu.base))
     return Pushforward(t, mu)

@@ -531,7 +531,7 @@ def root_measure(m: MeasureExpr, x) -> MeasureExpr:
     Raises DepthError when m is nested too deeply to evaluate.
     """
     try:
-        if not m.self_checking:
+        if not _checked_by_walk(m):  # else `_chain` steps onto the measure that checks
             m.check_point(x)
         return _chain(m, x)[-1]
     except RecursionError:
@@ -569,9 +569,9 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
             m.check_point(x)
         return m.log_density_at(x)
     if not (m.static_base and wrt.static_base):
-        if not m.self_checking and (m.static_base or not _over_self_checking(m)):
+        if not _checked_by_walk(m):
             m.check_point(x)
-        if not wrt.self_checking and (wrt.static_base or not _over_self_checking(wrt)):
+        if not _checked_by_walk(wrt):
             wrt.check_point(x)
         return _recurse(m, wrt, x)
     m.check_point(x)  # a static-base node is never self-checking
@@ -604,13 +604,12 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
             object.__setattr__(m, "_plans", ((wrt, plan[0] + (same,)),) + kept[: _PLAN_SLOTS - 1])
 
 
-def _over_self_checking(m: MeasureExpr) -> bool:
-    """Whether m is a Weighted over a self-checking measure.  A walk from m
-    unfolds that measure next, which checks the point, so the walk skips
-    m's own check as it does a self-checking m's (and `scale(w, chain)`
-    applies the chain's kernel once per element).  Never so for a
-    static-base m, which callers test first."""
-    return type(m) is Weighted and m.base.self_checking
+def _checked_by_walk(m: MeasureExpr) -> bool:
+    """Whether a walk from m checks the point as it goes, so m's own check is
+    left to it: m is self-checking, or a Weighted over a self-checking
+    measure, which the walk unfolds next (so `scale(w, chain)` applies the
+    chain's kernel once per element).  Never so for a static-base m."""
+    return m.self_checking or (type(m) is Weighted and m.base.self_checking)
 
 
 def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -> float:
@@ -629,8 +628,8 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
     # that fires (rules evaluate through validating calls), else on exit; a
     # Weighted over one by the walk on to it, as after its unfold the walk
     # unfolds that measure, meets an equal one or ends in such a rule.
-    mu_pending = mu.self_checking or (not mu.static_base and _over_self_checking(mu))
-    nu_pending = nu.self_checking or (not nu.static_base and _over_self_checking(nu))
+    mu_pending = _checked_by_walk(mu)
+    nu_pending = _checked_by_walk(nu)
     nodes = []  # mu's base chain ...
     sums = []  # ... and the source sum on reaching each of its nodes
     targets = []  # nu's nodes that were stepped

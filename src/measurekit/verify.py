@@ -12,16 +12,20 @@ import math
 import warnings
 from array import array
 from dataclasses import astuple, dataclass
+from functools import cache
 from typing import Callable, Tuple
 
 from . import core, rng
-from .combinators import Product
+from .combinators import Power, Product
 from .core import (_TOO_DEEP, COUNTING, LEBESGUE, DepthError, MeasureError, MeasureExpr,
                    UndefinedDensityError, _as_float)
 
 #: Bisections after the first 8 panels: at most 2**20 panels, so a call ends
 #: in bounded time at any tolerance.
 _MAX_DEPTH = 17
+
+#: Most integer points a mass sums, the quadrature's node cap: 2**20 + 1.
+_MAX_TERMS = (8 << _MAX_DEPTH) + 1
 
 #: Most points in one column of density values: a grid's new nodes or an
 #: integer range beyond it are evaluated a column at a time, so the lists a
@@ -60,24 +64,50 @@ class IntegerRange:
 
 @dataclass(frozen=True)
 class ProductRegion:
-    """Cartesian product of regions, matching a product measure's arity."""
+    """Cartesian product of one or more regions, matching a product
+    measure's arity; its points are tuples with one slot per region."""
 
     children: Tuple[object, ...]
 
+    def __post_init__(self):
+        if not self.children:
+            raise ValueError("ProductRegion needs at least one region")
+
 
 def _reference(region) -> MeasureExpr:
-    """The region's reference measure.  An integer range holds at most
-    the quadrature's node cap of integers, so a sum ends in bounded time."""
+    """The region's reference measure.  Its integer ranges hold at most the
+    quadrature's node cap of integer points, alone and together, so a sum
+    ends in bounded time."""
     if isinstance(region, Interval):
         return LEBESGUE
     if isinstance(region, IntegerRange):
-        if region.hi - region.lo > 8 << _MAX_DEPTH:
-            raise ValueError(f"mass sums at most {(8 << _MAX_DEPTH) + 1} integers, "
-                             f"got [{region.lo}, {region.hi}]")
+        if region.hi - region.lo >= _MAX_TERMS:
+            raise ValueError(f"mass sums at most {_MAX_TERMS} integers, got [{region.lo}, {region.hi}]")
         return COUNTING
     if isinstance(region, ProductRegion):
-        return Product(tuple(_reference(c) for c in region.children))
+        refs = tuple(map(_reference, region.children))
+        n = _integer_points(region)
+        if n > _MAX_TERMS:
+            raise ValueError(f"mass sums at most {_MAX_TERMS} integer points, got {n} in {region!r}")
+        return _product_reference(refs)
     raise TypeError(f"not a region: {region!r}")
+
+
+def _integer_points(region) -> int:
+    """How many points the region's integer ranges hold together."""
+    if isinstance(region, IntegerRange):
+        return region.hi - region.lo + 1
+    if isinstance(region, ProductRegion):
+        return math.prod(map(_integer_points, region.children))
+    return 1
+
+
+@cache
+def _product_reference(refs: tuple) -> MeasureExpr:
+    """The reference of a product region whose regions have the references
+    refs: one node per tuple, so the walk plan a measure keeps against it
+    (looked up by the target's identity) serves every later mass."""
+    return Product(refs) if len(refs) > 1 else Power(refs[0], (1,))
 
 
 def _density_fn(mu: MeasureExpr, region) -> Callable[[list], list]:
@@ -227,8 +257,10 @@ def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:
     adaptive Simpson at the given absolute tolerance; integer regions sum the
     probability mass function exactly and warn when the last term still
     exceeds the tolerance (truncated tail).  Product regions use iterated
-    quadrature (`_integral`).  The tolerance must be finite and positive,
-    and an integer range may hold at most 2**20 + 1 integers.
+    quadrature (`_integral`) over tuple points, against the product of their
+    regions' references, or `Power(reference, (1,))` for one region.  The
+    tolerance must be finite and positive, and the integer ranges of a
+    region may hold at most 2**20 + 1 integer points, alone and together.
 
     Raises UndefinedDensityError at the first node or term whose density is
     undefined, and MeasureError, naming the point, at the first whose

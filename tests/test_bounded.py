@@ -6,6 +6,7 @@ sample count on the command line."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,46 @@ def test_mass_refuses_a_range_past_the_node_cap_before_any_density():
     with pytest.raises(ValueError, match=refused.format(0, 10**12)):
         verify.mass(mk.product(mk.Normal(), heavy),
                     verify.ProductRegion((verify.Interval(-1.0, 1.0), verify.IntegerRange(0, 10**12))))
+
+
+def test_mass_refuses_product_ranges_past_the_node_cap_before_any_density():
+    # The density is infinite at the first point: ranges within the cap
+    # together reach it; a product region past it is refused first, also
+    # with an interval or a nested product among its regions.
+    script = """
+import measurekit as mk
+from measurekit import verify
+from measurekit.verify import Interval, IntegerRange, ProductRegion
+heavy = mk.scale(750.0, mk.Poisson(3.0))
+try:
+    verify.mass(mk.product(heavy, heavy), ProductRegion((IntegerRange(0, 1023),) * 2))
+except mk.MeasureError as e:
+    print(e)
+for m, region in [
+        (mk.product(heavy, heavy), ProductRegion((IntegerRange(0, 1024),) * 2)),
+        (mk.product(heavy, heavy), ProductRegion((IntegerRange(0, 2),) * 2)),
+        (mk.Product((mk.Normal(), heavy, heavy)),
+         ProductRegion((Interval(-1, 1), IntegerRange(0, 1024), IntegerRange(-1024, 0)))),
+        (mk.product(heavy, mk.product(heavy, heavy)),
+         ProductRegion((IntegerRange(0, 1), ProductRegion((IntegerRange(0, 1023),) * 2)))),
+        (mk.product(heavy, heavy), ProductRegion((IntegerRange(0, 10**9),) * 2))]:
+    try:
+        verify.mass(m, region)
+    except ValueError as e:
+        print(str(e).split(" in ")[0])
+    except mk.MeasureError as e:
+        print(e)
+"""
+    result = _python(["-c", script], timeout=10)
+    assert result.returncode == 0, result.stderr
+    infinite = r"infinite density of .* at \(0, 0\)$"
+    lines = result.stdout.splitlines()
+    assert len(lines) == 6
+    assert re.match(infinite, lines[0]) and re.match(infinite, lines[2])
+    assert lines[1] == "mass sums at most 1048577 integer points, got 1050625"
+    assert lines[3] == "mass sums at most 1048577 integer points, got 1050625"
+    assert lines[4] == "mass sums at most 1048577 integer points, got 2097152"
+    assert lines[5] == "mass sums at most 1048577 integers, got [0, 1000000000]"
 
 
 @pytest.mark.parametrize("lo, hi, message", [

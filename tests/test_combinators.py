@@ -361,6 +361,15 @@ class TestBind:
 
 
 class TestSuperpose:
+    def test_log_total_mass_is_the_log_sum_of_the_weights(self):
+        m = mk.superpose(scale(0.3, mk.Normal()), scale(-1.2, mk.Exponential(2.0)), mk.Poisson(3.0))
+        assert m.log_total_mass() == pytest.approx(math.log(math.exp(0.3) + math.exp(-1.2) + 1.0),
+                                                   abs=1e-15)
+        improper = mk.superpose(mk.Normal(), LEBESGUE)
+        assert improper.log_total_mass() is None
+        with pytest.raises(mk.NotProbabilityError):
+            sample(improper, 1)
+
     def test_two_normal_mixture_density(self):
         m = mk.superpose(mk.make_normal(), mk.make_normal(mu=1))
         got = log_density(m, 0.0, wrt=LEBESGUE)
@@ -492,6 +501,11 @@ class TestLikelihood:
         lik = Likelihood(self._kernel(), 0.5)
         assert loglik(lik, 0.0).value == -0.125
 
+    def test_call_is_loglik(self):
+        lik = Likelihood(self._kernel(), 0.5)
+        for p in (0.5, 0.0, -3.0):
+            assert lik(p) == loglik(lik, p)
+
     def test_negbinomial_kernel_shares_catalog_value(self):
         k = lambda theta: mk.make_negbinomial(r=theta, p=0.75)
         lik = Likelihood(k, 2)
@@ -567,6 +581,14 @@ class TestIntegralMeasures:
         m = mk.integrate(lambda x: -1.0, LEBESGUE)
         with pytest.raises(ValueError, match="negative"):
             log_density(m, 0.0)
+
+    def test_nan_density_is_undefined(self):
+        # As `integrate_exp` gives for a NaN log-density; zero stays -inf.
+        for m in (mk.integrate(lambda x: math.nan, LEBESGUE),
+                  mk.integrate_exp(lambda x: math.nan, LEBESGUE)):
+            assert log_density(m, 0.5, wrt=LEBESGUE).is_undefined
+            assert log_density(m, 0.5).is_undefined
+        assert log_density(mk.integrate(lambda x: 0.0, LEBESGUE), 0.5, wrt=LEBESGUE).is_neg_inf
 
     def test_log_space_round_trip_is_exact(self):
         ell = lambda x: -0.5 * x * x

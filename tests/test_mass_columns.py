@@ -326,3 +326,27 @@ def test_a_column_checks_each_point_against_the_target():
         core._log_density(mu, -1.0, nu)
     with pytest.raises(ShapeError, match="negative point -1.0"):
         core._log_density_column(mu, nu, xs + [-1.0])
+
+
+def test_masses_over_one_product_region_share_one_reference(monkeypatch):
+    # The region's reference is one node per tuple of its regions'
+    # references, so the plan the first mass keeps serves the later ones,
+    # and no reference a later call drops is left in the measure's plans.
+    mu = mk.product(mk.Normal(0.2, 1.1), mk.Exponential(1.5))
+    walked = []
+    log_density = core._log_density
+
+    def counted(*args):
+        walked.append(args[0])
+        return log_density(*args)
+
+    monkeypatch.setattr(core, "_log_density", counted)
+    masses = []
+    for i in range(6):
+        walked.clear()
+        region = ProductRegion((Interval(-4.0, 4.0), Interval(0.0, 6.0)))
+        masses.append(verify.mass(mu, region, 1e-4))
+        assert len(walked) == (2 if i == 0 else 0), i
+    assert len(set(masses)) == 1
+    assert len(mu._plans) == 1
+    assert mu._plans[0][0] is verify._reference(ProductRegion((Interval(-1.0, 1.0),) * 2))

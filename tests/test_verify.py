@@ -30,6 +30,11 @@ class TestRegions:
         with pytest.raises(ValueError):
             IntegerRange(3, 2)
 
+    def test_product_region_needs_a_region(self):
+        for children in ((), []):
+            with pytest.raises(ValueError, match="ProductRegion needs at least one region"):
+                ProductRegion(children)
+
 
 class TestAdaptiveSimpson:
     def test_polynomial_is_exact(self):
@@ -90,6 +95,29 @@ class TestMass:
         )
         with pytest.raises(UndefinedDensityError):
             mass(ss, Interval(-8.0, 8.0), 1e-8)  # a quadrature node hits the atom
+
+    @pytest.mark.parametrize("m, scalar, region", [
+        (mk.power(mk.Normal(0.2, 1.1), (1,)), mk.Normal(0.2, 1.1), Interval(-12, 12)),
+        (mk.power(mk.Poisson(3.0), (1,)), mk.Poisson(3.0), IntegerRange(0, 60)),
+        (mk.for_product((0,), lambda i: mk.Normal(0.2, 1.1)), mk.Normal(0.2, 1.1), Interval(-12, 12)),
+    ])
+    def test_one_region_product(self, m, scalar, region):
+        # Its 1-tuple points integrate against Power(reference, (1,)), with
+        # the bits of the scalar mass.
+        got = mass(m, ProductRegion((region,)))
+        assert got == mass(scalar, region)
+        assert got == pytest.approx(1.0, abs=1e-9)
+
+    def test_not_a_region(self):
+        for region in ((-1.0, 1.0), None, ProductRegion(((-1.0, 1.0),))):
+            with pytest.raises(TypeError, match="not a region"):
+                mass(mk.Normal(), region)
+
+    def test_a_nan_density_is_undefined_at_its_first_node(self):
+        m = mk.integrate(lambda x: math.nan if x > 0 else 1.0, LEBESGUE)
+        # The nodes go a, b, then the interior: b = 1 is the first with x > 0.
+        with pytest.raises(UndefinedDensityError, match="at 1$"):
+            mass(m, Interval(-1, 1))
 
 
 class TestQuadratureConvergence:
