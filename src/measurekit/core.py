@@ -250,6 +250,14 @@ def _is_scalar(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _fits(atom, x) -> bool:
+    """Whether x nests tuples as atom does, each of atom's length, with a
+    real scalar that is not a bool wherever atom has no tuple."""
+    if isinstance(atom, tuple):
+        return isinstance(x, tuple) and len(x) == len(atom) and all(map(_fits, atom, x))
+    return _is_scalar(x)
+
+
 def _not_scalar(name: str, x) -> ShapeError:
     return ShapeError(f"{name} expects a scalar point, got {x!r}")
 
@@ -270,18 +278,14 @@ class MeasureExpr:
     its `unfold` must give exactly (`log_density_at`, `base_at`), and it is
     never ``self_checking`` (the nodes that check as they evaluate build
     their factors from the point).  A container that takes a flag from its
-    children sets it once, in ``__post_init__``.  The engine relies on this:
-    it walks a pair of static-base measures with `_recurse`, the reference
-    walk, and on the second call memoises the walk's plan on the source node
-    (``_plans``, an instance attribute that is no dataclass field), so later
-    points only re-run the recorded data terms and the rule that ended the
-    walk.  A walk that reaches a node whose base depends on the point keeps
-    no plan.
+    children sets it once, in ``__post_init__``.  The engine relies on this
+    to keep the plan of a walk between two static-base measures on the
+    source (`_Plan`, ``_plans``) and replay it at later points.
     """
 
     #: Walk plans of this node as a source, newest first: up to _PLAN_SLOTS
-    #: (target, plan) pairs, looked up by the target's identity; the plan is
-    #: None for a target met once.
+    #: (target, `_Plan`) pairs, looked up by the target's identity; the plan
+    #: is None for a target met once.  An instance attribute, not a field.
     _plans = ()
 
     #: True when `base_at` ignores the point, so one base serves every point.
@@ -437,6 +441,10 @@ class Dirac(_Primitive):
             raise ShapeError(f"Dirac expects a scalar point, got {x!r}")
 
     def log_density_at(self, x) -> float:
+        # A tuple point's entries are checked where the atom reads them:
+        # `check_point` leaves them to a reference, which checks them first.
+        if isinstance(self.atom, tuple) and not _fits(self.atom, x):
+            raise ShapeError(f"Dirac atom has shape {self.atom!r}, got point {x!r}")
         return 0.0 if x == self.atom else -math.inf
 
     def log_total_mass(self):
@@ -575,19 +583,38 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
             wrt.check_point(x)
         return _recurse(m, wrt, x)
     m.check_point(x)  # a static-base node is never self-checking
-    seen = False
-    for target, plan in m._plans:
+    plan = False  # no entry for wrt; None for a target met once
+    for target, kept in m._plans:
         if target is wrt:
-            if plan is not None:
-                if not plan[-1]:  # unless m's check, just passed, implies wrt's
-                    wrt.check_point(x)
-                return _replay(plan, m, x)
-            seen = True
+            plan = kept
             break
+    if plan:  # replay the kept walk (see `_Plan`)
+        head, tail, targets, end, same = plan
+        if not same:  # unless m's check, just passed, implies wrt's
+            wrt.check_point(x)
+        num = 0.0
+        for node in head:
+            num += (m if node is None else node).log_density_at(x)
+            if num != num:
+                return num
+        meet = num  # the source sum on reaching the meeting node
+        for node in tail:
+            num += (m if node is None else node).log_density_at(x)
+            if num != num:
+                return num
+        den = 0.0
+        for node in targets:
+            den += node.log_density_at(x)
+            if den != den or (num == -math.inf and den == -math.inf):
+                return math.nan
+        if end is None:
+            return (meet - den) + 0.0
+        f, a, b = end
+        return (num - den) + f(m if a is None else a, m if b is None else b, x)
     wrt.check_point(x)
     # Each memo update is one tuple swap, so a concurrent reader sees the old
     # or the new memo.
-    if not seen:
+    if plan is False:
         object.__setattr__(m, "_plans", ((wrt, None),) + m._plans[: _PLAN_SLOTS - 1])
         return _recurse(m, wrt, x)
     plan = []
@@ -595,13 +622,8 @@ def _log_density(m: MeasureExpr, x, wrt: Optional[MeasureExpr] = None) -> float:
         return _recurse(m, wrt, x, plan)
     finally:
         if plan:
-            # The kept plan notes whether both check the same shape by the
-            # default scalar check (Power(Normal, n) against Lebesgue^n), so
-            # a replay scans the point once.
-            shape = m._checked_shape()
-            same = shape is not None and shape == wrt._checked_shape()
             kept = tuple(entry for entry in m._plans if entry[0] is not wrt)
-            object.__setattr__(m, "_plans", ((wrt, plan[0] + (same,)),) + kept[: _PLAN_SLOTS - 1])
+            object.__setattr__(m, "_plans", ((wrt, plan[0]),) + kept[: _PLAN_SLOTS - 1])
 
 
 def _checked_by_walk(m: MeasureExpr) -> bool:
@@ -622,7 +644,7 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
     # At each pair `_rule` asks mu's rule, then nu's negated, so a walk that
     # a rule ends is antisymmetric too; a walk that reaches a sum, wherever
     # it reaches it, ends by the local rule of the two top measures.
-    # A walk that ends other than by a NaN exit appends its plan to ``plan``.
+    # A walk that ends other than by a NaN exit appends its `_Plan` to ``plan``.
     top_mu, top_nu = mu, nu
     # Self-checking sides are validated by their first unfold or by a rule
     # that fires (rules evaluate through validating calls), else on exit; a
@@ -703,16 +725,17 @@ def _recurse(mu: MeasureExpr, nu: MeasureExpr, x, plan: Optional[list] = None) -
             # not stepped; an unfolded node is never its own base.
             if nodes and nodes[-1] is mu:
                 del nodes[-1]
-            # The plan is kept on top_mu, so it names top_mu as None (see
-            # `_replay`) rather than hold its own node in a reference cycle.
+            # The plan names top_mu as None, as `_Plan` says.
             if nodes:
                 nodes[0] = None
             if type(end) is int:
-                cut, f, a, b = end, None, None, None
+                cut, end = end, None
             else:
-                cut, (f, a, b) = len(nodes), end
-            plan.append((nodes[:cut], nodes[cut:], targets, f,
-                         None if a is top_mu else a, None if b is top_mu else b))
+                f, a, b = end
+                cut, end = len(nodes), (f, None if a is top_mu else a, None if b is top_mu else b)
+            shape = top_mu._checked_shape()
+            plan.append(_Plan(nodes[:cut], nodes[cut:], targets, end,
+                              shape is not None and shape == top_nu._checked_shape()))
 
 
 def _rule(mu: MeasureExpr, nu: MeasureExpr, x):
@@ -732,55 +755,53 @@ def _reversed_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
     return -nu.rule_vs(mu, x)
 
 
-def _replay(plan, mu, x) -> float:
-    """`_recurse` at x by a walk plan it recorded from mu at another point.
+class _Plan(NamedTuple):
+    """The record of a `_recurse` walk from mu to nu, kept on mu (``_plans``)
+    so `_log_density` and `_log_density_column` replay it at later points.
 
-    The same data terms are summed in the same order as the walk sums them,
-    with the same NaN exits, then the meeting or the rule that ended the
-    walk is applied again; so the value, and any error, is the walk's.  The
-    plan names mu as None; its last entry is `_log_density`'s.
+    ``head``: the source nodes stepped before the node where the chains met
+    (all of them where a rule ended the walk); ``tail``: those stepped past
+    it, summed only for the NaN exits.  ``targets``: the target nodes
+    stepped.  ``end``: None for a meeting, worth (head's data - targets'
+    data) + 0.0; else the triple (f, a, b) of the rule that ended the walk
+    (`_rule`'s or `_local_rule`), worth (source data - targets' data) +
+    f(a, b, x).  None names mu, in ``head`` and in ``end``, so the plan
+    holds no reference cycle.  ``same``: whether mu's check implies nu's,
+    as both check one shape by the default scalar check
+    (`MeasureExpr._checked_shape`), so a replay checks the point once;
+    found once per pair, when the plan is kept.
+
+    The scalar replay stops at the walk's first NaN exit, so it evaluates
+    the walk's data terms and raises its errors; the column evaluates every
+    term at every point, then applies the same exits per point.  One shared
+    per-point function would cost each scalar replay a call.
     """
-    head, tail, targets, end, a, b, _ = plan
-    num = 0.0
-    for node in head:
-        num += (mu if node is None else node).log_density_at(x)
-        if num != num:
-            return num
-    meet = num  # the source sum on reaching the meeting node
-    for node in tail:
-        num += (mu if node is None else node).log_density_at(x)
-        if num != num:
-            return num
-    den = 0.0
-    for node in targets:
-        den += node.log_density_at(x)
-        if den != den or (num == -math.inf and den == -math.inf):
-            return math.nan
-    if end is None:
-        return (meet - den) + 0.0
-    return (num - den) + end(mu if a is None else a, mu if b is None else b, x)
+
+    head: list
+    tail: list
+    targets: list
+    end: Optional[tuple]
+    same: bool
 
 
 def _log_density_column(m: MeasureExpr, wrt: MeasureExpr, xs) -> Optional[list]:
     """`_log_density(m, x, wrt)` at each point of a sequence xs, by m's kept
-    walk plan against ``wrt`` replayed over the whole column: None where m
+    `_Plan` against ``wrt`` replayed over the whole column: None where m
     keeps no plan for ``wrt``.
 
-    Every point passes m's check, then wrt's unless the plan says m's
-    implies it; then each node of the plan gives its data terms as one
-    column (`_data_column`), and the columns are combined per point in the
-    plan's order with `_replay`'s arithmetic and NaN exits, so each value
-    has its bits.  Where a rule ended the walk (`_local_rule` for sums and
-    pushforwards), it is applied at each point that reaches it, in turn.  A
-    column evaluates every node at every point, also past the point's NaN
-    exit and past an error at an earlier point: a caller that needs the
-    errors and the side effects of the points in turn (the weight counter)
-    evaluates them again by `_log_density`.
+    Each point is checked as a scalar replay checks it; then each node of
+    the plan gives its data terms as one column (`_data_column`), combined
+    per point in the plan's order, and the rule that ended the walk, if
+    any, runs per point, so each value has its bits.  A column evaluates
+    every node at every point, also past the point's NaN exit and past an
+    error at an earlier point: a caller that needs the errors and the side
+    effects of the points in turn (the weight counter) evaluates them again
+    by `_log_density`.
     """
     plan = next((p for target, p in m._plans if target is wrt), None)
     if plan is None:
         return None
-    head, tail, targets, end, a, b, same = plan
+    head, tail, targets, end, same = plan
     for check in (m.check_point,) if same else (m.check_point, wrt.check_point):
         for x in xs:
             check(x)
@@ -793,11 +814,12 @@ def _log_density_column(m: MeasureExpr, wrt: MeasureExpr, xs) -> Optional[list]:
     den = [0.0] * len(xs)
     for node in targets:
         den = list(map(_add, den, node._data_column(xs)))
+    f, a, b = end or (None, None, None)
     a, b = m if a is None else a, m if b is None else b
     # A den that reached -inf at some step ends at -inf or NaN.  A rule
     # plan keeps no tail, so there meet is num.
     return [s if s != s else math.nan if d != d or s == d == -math.inf
-            else (e - d) + (0.0 if end is None else end(a, b, x))
+            else (e - d) + (0.0 if f is None else f(a, b, x))
             for x, s, e, d in zip(xs, num, meet, den)]
 
 

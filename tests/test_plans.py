@@ -332,9 +332,12 @@ def test_plans_hold_no_reference_cycle():
     # A plan kept on a node must not refer back to it: nodes built per call
     # would otherwise wait for the cycle collector.
     spike = _scalar_sources()[14]
+    pair, square = mk.Product((mk.Normal(), mk.Exponential(1.0))), mk.power(LEBESGUE, (2,))
     cases = [(lambda: mk.Normal(0.3, 1.2), LEBESGUE, 0.5),  # meeting
              (lambda: mk.superpose(*spike.components), LEBESGUE, 0.5),  # rule
-             (lambda: mk.Dirac(0.0), LEBESGUE, 0.0)]  # fixed-point rule
+             (lambda: mk.Dirac(0.0), LEBESGUE, 0.0),  # fixed-point rule
+             (lambda: mk.power(LEBESGUE, (2,)), pair, (0.5, 0.5)),  # the target's rule, negated
+             (lambda: mk.Product((mk.Normal(), mk.Exponential(1.0))), square, (0.5, 0.5))]  # mu's rule
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -349,3 +352,13 @@ def test_plans_hold_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_rule_ended_plans_name_their_source_none():
+    pair, square = mk.Product((mk.Normal(), mk.Exponential(1.0))), mk.power(LEBESGUE, (2,))
+    for mu, nu, rule in ((square, pair, core._reversed_rule), (pair, square, mk.Product.rule_vs)):
+        values = {core._log_density(mu, (0.5, 0.5), nu) for _ in range(3)}  # notes, keeps, replays
+        (plan,) = [p for t, p in mu._plans if t is nu]
+        assert plan.end == (rule, None, nu)
+        assert plan.head == plan.tail == plan.targets == [] and plan[-1] is plan.same
+        assert len(values) == 1

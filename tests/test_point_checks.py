@@ -112,3 +112,29 @@ def test_a_pushforward_over_a_chain_checks_the_point_once():
     assert len(calls) == 2
     with pytest.raises(ShapeError, match="does not match the affine map"):
         mk.root_measure(image, (0.1, 0.2))
+
+
+@pytest.mark.parametrize("x", [("a", None), (1.0, True), (True, 2.0), (1.0, "2"), (1.0, (2.0,)), [1.0, 2.0],
+                               (1.0,)])
+def test_a_tuple_dirac_checks_each_entry(x):
+    source = mk.Dirac((1.0, 2.0))
+    with pytest.raises(ShapeError, match=r"Dirac atom has shape \(1.0, 2.0\)"):
+        mk.log_density(source, x)
+    # Against a reference of scalar entries, the reference's check reads
+    # them, on a walk and on a replay of the kept plan.
+    reference = mk.power(mk.COUNTING, (2,))
+    for _ in range(3):
+        with pytest.raises(ShapeError):
+            mk.log_density(source, x, wrt=reference)
+        assert mk.log_density(source, (1.0, 2.0), wrt=reference) == 0.0
+
+
+def test_a_tuple_dirac_keeps_its_value_on_points_of_its_shape():
+    atom = mk.Dirac((1.0, 2.0))
+    assert mk.log_density(atom, (1.0, 2.0)) == 0.0
+    assert mk.log_density(atom, (1, 2)) == 0.0
+    assert mk.log_density(atom, Pair(1.0, 2.5)).is_neg_inf
+    nested = mk.Dirac((1.0, (2.0, 3.0)))
+    assert mk.log_density(nested, (1.0, (2.0, 3.0))) == 0.0
+    with pytest.raises(ShapeError, match="Dirac atom has shape"):
+        mk.log_density(nested, (1.0, 2.0))
