@@ -451,7 +451,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("error: expression nested too deeply to evaluate", file=sys.stderr)
+        print(f"error: {core._TOO_DEEP}", file=sys.stderr)
         return 1
 
 

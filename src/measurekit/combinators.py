@@ -482,7 +482,7 @@ class Power(MeasureExpr):
     def __post_init__(self):
         if not self.shape:
             raise ValueError("Power needs a nonempty shape")
-        if any(not isinstance(s, int) or s < 1 for s in self.shape):
+        if any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in self.shape):
             raise ValueError(f"invalid power shape {self.shape!r}")
         if self.child.self_checking:
             object.__setattr__(self, "self_checking", True)

@@ -258,6 +258,12 @@ def _fits(atom, x) -> bool:
     return _is_scalar(x)
 
 
+def _check_atom(atom, x) -> None:
+    """Refuse a point that does not fit a Dirac's tuple atom (`_fits`)."""
+    if isinstance(atom, tuple) and not _fits(atom, x):
+        raise ShapeError(f"Dirac atom has shape {atom!r}, got point {x!r}")
+
+
 def _not_scalar(name: str, x) -> ShapeError:
     return ShapeError(f"{name} expects a scalar point, got {x!r}")
 
@@ -443,8 +449,7 @@ class Dirac(_Primitive):
     def log_density_at(self, x) -> float:
         # A tuple point's entries are checked where the atom reads them:
         # `check_point` leaves them to a reference, which checks them first.
-        if isinstance(self.atom, tuple) and not _fits(self.atom, x):
-            raise ShapeError(f"Dirac atom has shape {self.atom!r}, got point {x!r}")
+        _check_atom(self.atom, x)
         return 0.0 if x == self.atom else -math.inf
 
     def log_total_mass(self):
@@ -784,23 +789,30 @@ class _Plan(NamedTuple):
     same: bool
 
 
-def _log_density_column(m: MeasureExpr, wrt: MeasureExpr, xs) -> Optional[list]:
-    """`_log_density(m, x, wrt)` at each point of a sequence xs, by m's kept
-    `_Plan` against ``wrt`` replayed over the whole column: None where m
-    keeps no plan for ``wrt``.
+def _log_density_column(m: MeasureExpr, wrt: MeasureExpr, xs) -> list:
+    """`_log_density(m, x, wrt)` at each point of a sequence xs.
 
+    Points go one at a time through `_log_density` until m keeps a `_Plan`
+    against ``wrt`` (at once where it keeps one, never where a base depends
+    on the point); the plan is then replayed over the rest of the column.
     Each point is checked as a scalar replay checks it; then each node of
     the plan gives its data terms as one column (`_data_column`), combined
     per point in the plan's order, and the rule that ended the walk, if
-    any, runs per point, so each value has its bits.  A column evaluates
+    any, runs per point, so each value has its bits.  A replay evaluates
     every node at every point, also past the point's NaN exit and past an
     error at an earlier point: a caller that needs the errors and the side
     effects of the points in turn (the weight counter) evaluates them again
-    by `_log_density`.
+    by `log_density`.
     """
-    plan = next((p for target, p in m._plans if target is wrt), None)
-    if plan is None:
-        return None
+    walked = []
+    for x in xs:
+        plan = next((p for target, p in m._plans if target is wrt), None)
+        if plan is not None:
+            break
+        walked.append(_log_density(m, x, wrt))
+    else:
+        return walked
+    xs = xs[len(walked):]
     head, tail, targets, end, same = plan
     for check in (m.check_point,) if same else (m.check_point, wrt.check_point):
         for x in xs:
@@ -818,9 +830,9 @@ def _log_density_column(m: MeasureExpr, wrt: MeasureExpr, xs) -> Optional[list]:
     a, b = m if a is None else a, m if b is None else b
     # A den that reached -inf at some step ends at -inf or NaN.  A rule
     # plan keeps no tail, so there meet is num.
-    return [s if s != s else math.nan if d != d or s == d == -math.inf
-            else (e - d) + (0.0 if f is None else f(a, b, x))
-            for x, s, e, d in zip(xs, num, meet, den)]
+    return walked + [s if s != s else math.nan if d != d or s == d == -math.inf
+                     else (e - d) + (0.0 if f is None else f(a, b, x))
+                     for x, s, e, d in zip(xs, num, meet, den)]
 
 
 # ---------------------------------------------------------------------------
@@ -928,8 +940,10 @@ def _local_rule(mu: MeasureExpr, nu: MeasureExpr, x) -> float:
         top = top if math.isfinite(top) else 0.0
         return (_logsumexp(_shifted(mu, a, walked_a, nu, b, walked_b, top))
                 - _logsumexp(_shifted(nu, b, walked_b, mu, a, walked_a, top)))
-    if not (a or b):
-        return math.nan  # neither side has mass of rho's class at x
+    if not (a or b):  # neither side has mass of rho's class at x
+        for atom in (*left.atoms, *right.atoms):  # no reference read the entries
+            _check_atom(atom, x)
+        return math.nan
     full, other, value, sign = (left, right, _logsumexp(a), 1.0) if a else (
         right, left, _logsumexp(b), -1.0)
     if x in full.atoms or not value > -math.inf:

@@ -17,8 +17,7 @@ from typing import Callable, Tuple
 
 from . import core, rng
 from .combinators import Power, Product
-from .core import (_TOO_DEEP, COUNTING, LEBESGUE, DepthError, MeasureError, MeasureExpr,
-                   UndefinedDensityError, _as_float)
+from .core import COUNTING, LEBESGUE, MeasureError, MeasureExpr, UndefinedDensityError, _as_float
 
 #: Bisections after the first 8 panels: at most 2**20 panels, so a call ends
 #: in bounded time at any tolerance.
@@ -115,56 +114,34 @@ def _density_fn(mu: MeasureExpr, region) -> Callable[[list], list]:
     point of a list (a column): the values `log_density` gives at each, in
     order, and the first one's first error.
 
-    Where mu keeps a walk plan against the reference the column replays it
-    (`core._log_density_column`).  Points go in turn where mu's base
-    depends on the point, for a measure's first two points, at the second
-    of which it keeps its plan, and for a column with an error, an
-    undefined or an infinite value, after which the weight counter reads
-    as before, so the error is the first point's.
+    The engine evaluates the column (`core._log_density_column`).  A column
+    with an error, an undefined or an infinite value is evaluated again
+    point by point, from the weight count it started at, so the error is
+    the first point's.
     """
     ref = _reference(region)
 
     def dens(x):
-        try:
-            value = core._log_density(mu, x, ref)
-        except RecursionError:
-            raise DepthError(_TOO_DEEP) from None
-        if value != value:
+        value = core.log_density(mu, x, ref)
+        if value.is_undefined:
             raise UndefinedDensityError(f"undefined density of {mu!r} at {x!r}")
-        try:
-            p = math.exp(value)
-        except OverflowError:
-            p = math.inf
+        p = value.exp()
         if p == math.inf:
             raise MeasureError(f"infinite density of {mu!r} at {x!r}")
         return p
 
-    def replayed(xs):
-        """The column by mu's kept plan; None where mu keeps none, or where
-        a value is undefined or infinite or an error is raised."""
+    def column(xs: list) -> list:
         count = core.weight_evaluations()
         try:
             values = core._log_density_column(mu, ref, xs)
-            if values is None:
-                return None
             # A sum below +inf holds no NaN and no +inf; a finite value too
             # large for exp raises OverflowError there.
             if sum(values) < math.inf:
-                return list(map(math.exp, values))  # OverflowError beyond the float range
+                return list(map(math.exp, values))
         except Exception:
             pass
         core._weight_evaluations = count  # the points are evaluated again, in turn
-        return None
-
-    def column(xs: list) -> list:
-        values = replayed(xs)
-        if values is not None:
-            return values
-        # A pair keeps its plan at its second call: two points in turn, then
-        # the rest by the plan if it is kept.
-        done = [dens(x) for x in xs[:2]]
-        values = replayed(xs[2:])
-        return done + ([dens(x) for x in xs[2:]] if values is None else values)
+        return [dens(x) for x in xs]
 
     return column
 
@@ -269,13 +246,9 @@ def mass(mu: MeasureExpr, region, tol: float = 1e-8) -> float:
     most 2**20 + 1 per interval (`adaptive_simpson`).
 
     The nodes a grid adds, and the terms of an integer range, are evaluated
-    as a column of up to `_COLUMN` points (`_density_fn`): where mu keeps a
-    walk plan against the reference, it is replayed over the whole column
-    (`core._log_density_column`).  Points go in turn only where mu's base
-    depends on the point, for a measure's first two points, and for a
-    column with an error, an undefined or an infinite value.  Either way
-    each value has the bits of the point's own `log_density`, and an error
-    is the first point's.
+    as a column of up to `_COLUMN` points (`_density_fn`).  Each value has
+    the bits of the point's own `log_density`, and an error is the first
+    point's.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"mass tolerance must be finite and > 0, got {tol!r}")

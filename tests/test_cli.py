@@ -60,6 +60,13 @@ class TestParse:
         with pytest.raises(ValueError, match=r"^at \$\."):
             parse_expr(doc)
 
+    def test_a_power_shape_refuses_bools(self):
+        # As IntegerRange and the CLI's numbers refuse them: True is no 1.
+        with pytest.raises(ValueError, match=r"^invalid power shape \(True,\)$"):
+            mk.power(mk.Normal(), (True,))
+        with pytest.raises(ValueError, match=r"^at \$\.Power: invalid power shape \(True, 2\)$"):
+            parse_expr(json.loads('{"Power": {"of": {"Normal": {}}, "shape": [true, 2]}}'))
+
 
 def corpus():
     """Fifty expression documents covering every serializable kind."""

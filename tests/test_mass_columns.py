@@ -244,6 +244,16 @@ def _bits_or_nan(value):
     return "nan" if value != value else _bits(value)
 
 
+def _assert_a_fresh_column_is_the_walk(mu, nu, xs):
+    """A pair with no plan yet: its column has the walk's bits at each
+    point, and the pair keeps its plan afterwards."""
+    assert not any(target is nu for target, _ in mu._plans)
+    got = core._log_density_column(mu, nu, xs)
+    want = [core._recurse(mu, nu, x) for x in xs]
+    assert [_bits_or_nan(v) for v in got] == [_bits_or_nan(v) for v in want]
+    assert any(target is nu and plan is not None for target, plan in mu._plans)
+
+
 @pytest.mark.parametrize("mu, nu", [
     (mk.scale(0.3, mk.Normal(1.0, 2.0)), mk.scale(-0.4, LEBESGUE)),
     # Targets with data terms: at -1 both vanish, at 2 only the target.
@@ -260,7 +270,7 @@ def test_a_column_of_a_kept_plan_is_the_walk(mu, nu):
     # through each of its NaN exits.
     xs = [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 7.25, 1e300, -math.inf, math.inf, math.nan,
           10 ** 400]
-    assert core._log_density_column(mu, nu, xs) is None  # no plan kept yet
+    _assert_a_fresh_column_is_the_walk(mu, nu, xs)
     for x in (0.1, 0.2):
         core._log_density(mu, x, nu)
     got = core._log_density_column(mu, nu, xs)
@@ -301,6 +311,30 @@ def test_a_column_applies_the_rule_only_where_the_walk_reaches_it(mu, nu, monkey
         want = [core._recurse(source, target, x) for x in xs]
         assert [_bits_or_nan(v) for v in got] == [_bits_or_nan(v) for v in want]
         assert replayed == calls and len(calls) < len(xs)
+
+
+def test_a_fresh_mass_walks_two_points_and_replays_the_rest(monkeypatch):
+    # The engine walks a fresh pair's points in turn until it keeps its
+    # plan, at the second, and replays the plan over every later point.
+    mu, nu = mk.Normal(0.3, 1.2), mk.Normal(0.3, 1.2)
+    nodes, f = [], per_point(nu, LEBESGUE)
+    want = verify.adaptive_simpson(lambda x: nodes.append(x) or f(x), -2.0, 2.5, 1e-8)
+    walked, replayed = [], []
+    log_density, data_column = core._log_density, type(mu)._data_column
+
+    def counted(m, x, wrt=None):
+        walked.append(x)
+        return log_density(m, x, wrt)
+
+    def column(self, xs):
+        replayed.extend(xs)
+        return data_column(self, xs)
+
+    monkeypatch.setattr(core, "_log_density", counted)
+    monkeypatch.setattr(type(mu), "_data_column", column)
+    assert _bits(verify.mass(mu, Interval(-2.0, 2.5), 1e-8)) == _bits(want)
+    assert walked == nodes[:2] == [-2.0, 2.5]  # a and b, the first grid's first nodes
+    assert replayed == nodes[2:] and len(replayed) > 8
 
 
 @dataclass(frozen=True)

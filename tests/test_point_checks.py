@@ -7,6 +7,7 @@ leaves the check to that measure, so each element's kernel runs once.
 """
 
 import math
+import re
 from collections import namedtuple
 
 import pytest
@@ -138,3 +139,20 @@ def test_a_tuple_dirac_keeps_its_value_on_points_of_its_shape():
     assert mk.log_density(nested, (1.0, (2.0, 3.0))) == 0.0
     with pytest.raises(ShapeError, match="Dirac atom has shape"):
         mk.log_density(nested, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("x", [("a", None), (1.0, True), (1.0, "2"), (1.0, (2.0,)), ((1.0,), 2.0)])
+def test_two_tuple_diracs_refuse_a_point_that_does_not_fit_them(x):
+    # Neither Dirac is a reference of scalar entries, so no check reads the
+    # point's entries before the local rule: it refuses them, in both
+    # orders, on a walk and on a replay of the kept plan.
+    one, other = mk.Dirac((1.0, 2.0)), mk.Dirac((1.0, 3.0))
+    for source, target in ((one, other), (other, one)):
+        for _ in range(3):
+            with pytest.raises(ShapeError, match=re.escape(f"Dirac atom has shape {source.atom!r}")):
+                mk.log_density(source, x, wrt=target)
+            assert mk.log_density(source, (1.0, 2.0), wrt=target).is_undefined
+            assert mk.log_density(source, (5.0, 5.0), wrt=target).is_undefined
+    nested = mk.Dirac((1.0, (2.0, 3.0)))
+    with pytest.raises(ShapeError, match="Dirac atom has shape"):
+        mk.log_density(nested, (1.0, 2.0), wrt=mk.Dirac((1.0, (2.0, 4.0))))
